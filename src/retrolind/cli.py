@@ -36,8 +36,7 @@ from .scenario_io import (
     matrix_from_pairs,
     write_trajectory_csv,
 )
-
-PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes
+from .tolerances import PIPELINE_TOL
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -142,7 +141,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     else:
         trajectory = evolve_retrodictive(scenario.model, initial, duration, config)
         description = "tau = t_m - t (premeasurement time)"
-    write_trajectory_csv(args.out, trajectory, description)
+    try:
+        write_trajectory_csv(args.out, trajectory, description)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {len(trajectory)} states to {args.out}")
     return EXIT_OK
 

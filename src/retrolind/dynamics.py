@@ -35,8 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EIGENVALUE_TOL, HERMITICITY_TOL, DensityOperator, IntegratorConfig, LindbladModel
-from .operators import dagger, min_eigenvalue, scale_of, trace
+from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
+from .operators import dagger, hermitian_deviation, min_eigenvalue, scale_of, symmetrize, trace
+from .tolerances import HERMITICITY_STEP_TOL, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
@@ -54,10 +55,6 @@ __all__ = [
     "evolve_pom_backward",
     "evolve_retrodictive",
 ]
-
-TRACE_DRIFT_TOL = 1e-8  # |trace - 1| allowed on recorded evolved states
-POSITIVITY_DRIFT_TOL = 1e-7  # eigenvalue negativity allowed on recorded evolved states
-HERMITICITY_STEP_TOL = 1e-10  # per-step hermiticity drift, relative to state scale
 
 _DEFAULT_CONFIG = IntegratorConfig()
 
@@ -136,7 +133,7 @@ def retrodictive_rhs(model: LindbladModel, rho) -> np.ndarray:
     """
     rho = _check_model_operator(model, rho)
     trace_dev = abs(trace(rho) - 1.0)
-    if trace_dev > 1e-8:
+    if trace_dev > RETRODICTIVE_RHS_TRACE_TOL:
         raise ValueError(f"retrodictive state must have unit trace, off by {trace_dev:.3e}")
     out = pom_premeasurement_rhs(model, rho)
     gain = 0.0j
@@ -159,16 +156,9 @@ def predictive_generator(model: LindbladModel) -> np.ndarray:
 
 
 def pom_backward_generator(model: LindbladModel) -> np.ndarray:
-    """Matrix form of pom_premeasurement_rhs on row-major-flattened operators."""
-    dim = model.dim
-    eye = np.eye(dim, dtype=np.complex128)
-    h = model.hamiltonian
-    gen = 1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for a in model.jump_ops:
-        ad = dagger(a)
-        ada = ad @ a
-        gen += 2.0 * np.kron(ad, ad.conj()) - np.kron(ada, eye) - np.kron(eye, ada.T)
-    return gen
+    """Matrix form of pom_premeasurement_rhs: the adjoint (conjugate transpose)
+    of the predictive generator under the Hilbert-Schmidt inner product."""
+    return predictive_generator(model).conj().T
 
 
 def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
@@ -225,39 +215,37 @@ def _symmetrizing_post_step(dim: int) -> Callable[[np.ndarray, int], np.ndarray]
 
     def post(v: np.ndarray, step: int) -> np.ndarray:
         m = v.reshape(dim, dim)
-        md = m.conj().T
-        scale = np.max(np.abs(m))
-        drift = np.max(np.abs(m - md))
-        if scale > 0.0 and drift > HERMITICITY_STEP_TOL * scale:
+        drift = hermitian_deviation(m)
+        if drift > HERMITICITY_STEP_TOL * scale_of(m):
             raise IntegrationError(
                 f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at step {step}",
                 step=step,
             )
-        return ((m + md) * 0.5).reshape(-1)
+        return symmetrize(m).reshape(-1)
 
     return post
 
 
-def _unflatten(traj: Trajectory, dim: int) -> Trajectory:
-    return Trajectory(traj.times, tuple(v.reshape(dim, dim) for v in traj.states))
-
-
-def _check_recorded_trace(traj: Trajectory) -> None:
-    for t, state in zip(traj.times, traj.states):
-        dev = abs(trace(state) - 1.0)
-        if dev > TRACE_DRIFT_TOL:
-            raise IntegrationError(
-                f"trace off by {dev:.3e} at time {t:g}; step size too coarse"
-            )
-
-
-def _check_recorded_positivity(traj: Trajectory) -> None:
+def _evolve(
+    model: LindbladModel, rhs, x0: np.ndarray, duration: float, config: IntegratorConfig, check_trace: bool
+) -> Trajectory:
+    """Integrate a Hermitian operator, symmetrizing each step, then check every
+    recorded state's trace (if check_trace) and positivity."""
+    dim = model.dim
+    flat = rk4_integrate(rhs, x0.reshape(-1), duration, config, post_step=_symmetrizing_post_step(dim))
+    traj = Trajectory(flat.times, tuple(v.reshape(dim, dim) for v in flat.states))
+    if check_trace:
+        for t, state in zip(traj.times, traj.states):
+            dev = abs(trace(state) - 1.0)
+            if dev > TRACE_DRIFT_TOL:
+                raise IntegrationError(f"trace off by {dev:.3e} at time {t:g}; step size too coarse")
     for t, state in zip(traj.times, traj.states):
         low = min_eigenvalue(state)
         if low < -POSITIVITY_DRIFT_TOL:
             raise IntegrationError(
                 f"eigenvalue {low:.3e} below -{POSITIVITY_DRIFT_TOL:.1e} at time {t:g}; step size too coarse"
             )
+    return traj
 
 
 def evolve_predictive(
@@ -267,20 +255,9 @@ def evolve_predictive(
     config: IntegratorConfig = _DEFAULT_CONFIG,
 ) -> Trajectory:
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
-    if rho_p.dim != model.dim:
-        raise ValueError(f"state dimension {rho_p.dim} does not match model dimension {model.dim}")
+    _check_model_operator(model, rho_p.op)
     gen = predictive_generator(model)
-    flat = rk4_integrate(
-        lambda v: gen @ v,
-        rho_p.op.reshape(-1),
-        duration,
-        config,
-        post_step=_symmetrizing_post_step(model.dim),
-    )
-    traj = _unflatten(flat, model.dim)
-    _check_recorded_trace(traj)
-    _check_recorded_positivity(traj)
-    return traj
+    return _evolve(model, lambda v: gen @ v, rho_p.op, duration, config, check_trace=True)
 
 
 def evolve_pom_backward(
@@ -295,22 +272,9 @@ def evolve_pom_backward(
     from 0 (the measurement) to duration (the earliest instant reached).
     """
     pi_m = _check_model_operator(model, pi_m)
-    scale = scale_of(pi_m)
-    if scale > 0.0 and np.max(np.abs(pi_m - pi_m.conj().T)) > HERMITICITY_TOL * scale:
-        raise ValueError("outcome operator must be Hermitian")
-    if min_eigenvalue(pi_m) < -EIGENVALUE_TOL:
-        raise ValueError("outcome operator must be positive")
+    _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
     gen = pom_backward_generator(model)
-    flat = rk4_integrate(
-        lambda v: gen @ v,
-        pi_m.reshape(-1),
-        duration,
-        config,
-        post_step=_symmetrizing_post_step(model.dim),
-    )
-    traj = _unflatten(flat, model.dim)
-    _check_recorded_positivity(traj)
-    return traj
+    return _evolve(model, lambda v: gen @ v, pi_m, duration, config, check_trace=False)
 
 
 def evolve_retrodictive(
@@ -324,22 +288,11 @@ def evolve_retrodictive(
     Same parameterization as evolve_pom_backward; the nonlinear term keeps
     every recorded state unit-trace.
     """
-    if rho_m.dim != model.dim:
-        raise ValueError(f"state dimension {rho_m.dim} does not match model dimension {model.dim}")
+    _check_model_operator(model, rho_m.op)
     gen = pom_backward_generator(model)
     kvec = _jump_commutator_sum(model).T.reshape(-1)
 
     def rhs(v: np.ndarray) -> np.ndarray:
         return gen @ v + (2.0 * (kvec @ v)) * v
 
-    flat = rk4_integrate(
-        rhs,
-        rho_m.op.reshape(-1),
-        duration,
-        config,
-        post_step=_symmetrizing_post_step(model.dim),
-    )
-    traj = _unflatten(flat, model.dim)
-    _check_recorded_trace(traj)
-    _check_recorded_positivity(traj)
-    return traj
+    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True)

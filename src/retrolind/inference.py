@@ -28,7 +28,9 @@ from .model import (
     PreparationEnsemble,
     Scenario,
 )
-from .operators import hermitian_deviation, scale_of, trace
+from .operators import trace
+from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
+from .tolerances import RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
 
 __all__ = [
     "NEGATIVE_PROB_TOL",
@@ -40,9 +42,6 @@ __all__ = [
     "bayes_from_predictive",
     "collapse_time_sweep",
 ]
-
-NEGATIVE_PROB_TOL = 1e-9  # raw values this far below zero are round-off, clamped
-RAW_SUM_TOL = 1e-7  # allowed deviation of raw predictive probabilities from total 1
 
 _DEFAULT_CONFIG = IntegratorConfig()
 
@@ -61,7 +60,7 @@ class ProbabilityTable:
             raise ValueError("labels and probabilities must align one-to-one")
         if np.any(probs < 0.0):
             raise ValueError(f"negative probability {probs.min():.3e}")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -93,19 +92,16 @@ def _clamp_raw(raw: np.ndarray, what: str) -> np.ndarray:
     return np.clip(raw, 0.0, None)
 
 
-def normalize_to_retrodictive(pi, eig_tol: float = 1e-6) -> DensityOperator:
+def normalize_to_retrodictive(pi, eig_tol: float = RETRODICTIVE_EIG_TOL) -> DensityOperator:
     """Outcome operator divided by its trace: the retrodictive state.
 
     The trace must be real and positive; eig_tol admits the slight
     negativity a backward-evolved element can carry after division by a
-    sub-unit trace.
+    sub-unit trace.  The DensityOperator constructor checks Hermiticity.
     """
     pi = np.asarray(pi, dtype=np.complex128)
-    scale = scale_of(pi)
-    if scale > 0.0 and hermitian_deviation(pi) > 1e-8 * scale:
-        raise ValueError("outcome operator must be Hermitian")
     tr = trace(pi).real
-    if tr <= 1e-12:
+    if tr <= NORMALIZE_TRACE_FLOOR:
         raise ValueError(f"outcome operator trace {tr:.3e} is too small to normalize")
     return DensityOperator(pi / tr, eig_tol=eig_tol)
 
@@ -126,9 +122,9 @@ def preparation_operators(
         else:
             ops.append(prior * evolve_predictive(model, state, t_minus_tp, config).final)
     total_trace = math.fsum(trace(op).real for op in ops)
-    if abs(total_trace - 1.0) > 1e-8:
+    if abs(total_trace - 1.0) > PREPARATION_TRACE_TOL:
         raise IntegrationError(
-            f"preparation operators sum to trace {total_trace!r}, off beyond 1e-8"
+            f"preparation operators sum to trace {total_trace!r}, off beyond {PREPARATION_TRACE_TOL:.1e}"
         )
     return ops
 

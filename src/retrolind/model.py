@@ -19,6 +19,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .operators import hermitian_deviation, identity, min_eigenvalue, scale_of, trace
+from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, POM_SUM_TOL, PRIOR_SUM_TOL, TRACE_TOL
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -39,12 +40,6 @@ __all__ = [
     "two_level_decay_model",
     "plus_minus_ensemble",
 ]
-
-HERMITICITY_TOL = 1e-10  # relative to the largest entry modulus
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-9  # absolute negativity allowance on eigenvalues
-POM_SUM_TOL = 1e-9  # entrywise deviation of the outcome-operator sum from identity
-PRIOR_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,16 @@ def _hermitian_issues(field: str, a) -> list[ValidationIssue]:
     return []
 
 
+def _hermitian_positive_issues(field: str, a) -> list[ValidationIssue]:
+    """Hermitian within HERMITICITY_TOL and no eigenvalue below -EIGENVALUE_TOL."""
+    issues = _hermitian_issues(field, a)
+    if not issues:
+        low = min_eigenvalue(a)
+        if low < -EIGENVALUE_TOL:
+            issues.append(ValidationIssue(field, "not positive within tolerance", -low))
+    return issues
+
+
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     if not isinstance(dim, int) or dim < 1:
@@ -156,12 +161,7 @@ def _pom_issues(elements, labels, dim: int | None) -> list[ValidationIssue]:
             issues += el_issues
             shapes_ok = False
             continue
-        herm_issues = _hermitian_issues(f"pom.elements[{j}]", el)
-        issues += herm_issues
-        if not herm_issues:
-            low = min_eigenvalue(el)
-            if low < -EIGENVALUE_TOL:
-                issues.append(ValidationIssue(f"pom.elements[{j}]", "not positive within tolerance", -low))
+        issues += _hermitian_positive_issues(f"pom.elements[{j}]", el)
     if shapes_ok:
         total = np.sum(np.asarray(elements, dtype=np.complex128), axis=0)
         dev = float(np.max(np.abs(total - identity(total.shape[0]))))

@@ -1,8 +1,8 @@
 """Dense complex operator algebra.
 
 Small helpers shared by every other module: adjoints, commutators, traces,
-Hermiticity and distance metrics, and an iterative eigensolver for Hermitian
-matrices (cyclic Jacobi rotations).  Everything works on plain numpy arrays
+Hermiticity and distance metrics, and the eigenvalues of Hermitian matrices
+(LAPACK ``eigvalsh`` through numpy).  Everything works on plain numpy arrays
 holding complex128 entries; hbar = 1 throughout the package.
 
 Relative tolerances in this package are measured against the largest entry
@@ -11,9 +11,9 @@ modulus of the operand (see :func:`scale_of`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .tolerances import EIGENSOLVER_HERMITICITY_TOL
 
 __all__ = [
     "as_operator",
@@ -28,9 +28,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "min_eigenvalue",
 ]
-
-_JACOBI_TOL = 1e-13
-_JACOBI_SWEEP_LIMIT = 60
 
 
 def as_operator(entries) -> np.ndarray:
@@ -91,66 +88,20 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def _jacobi_rotate(m: np.ndarray, p: int, q: int) -> None:
-    """Zero the (p, q) entry of Hermitian m with a unitary plane rotation."""
-    z = m[p, q]
-    r = abs(z)
-    if r == 0.0:
-        return
-    phase = z / r
-    theta = 0.5 * math.atan2(2.0 * r, m[p, p].real - m[q, q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    col_p = c * m[:, p] + s * np.conj(phase) * m[:, q]
-    col_q = -s * phase * m[:, p] + c * m[:, q]
-    m[:, p] = col_p
-    m[:, q] = col_q
-    row_p = c * m[p, :] + s * phase * m[q, :]
-    row_q = -s * np.conj(phase) * m[p, :] + c * m[q, :]
-    m[p, :] = row_p
-    m[q, :] = row_q
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-    m[p, p] = m[p, p].real
-    m[q, q] = m[q, q].real
+def hermitian_eigenvalues(a, herm_tol: float = EIGENSOLVER_HERMITICITY_TOL) -> np.ndarray:
+    """All eigenvalues of a Hermitian operator, ascending (LAPACK ``eigvalsh``).
 
-
-def hermitian_eigenvalues(a, herm_tol: float = 1e-8) -> np.ndarray:
-    """All eigenvalues of a Hermitian operator, ascending.
-
-    Cyclic Jacobi sweeps run until the largest off-diagonal modulus falls
-    below 1e-13 relative to the input scale.  The input must be Hermitian to
-    within ``herm_tol`` relative to its largest entry modulus; the internal
-    symmetrization only absorbs round-off.
+    The input must be square, finite, and Hermitian to within ``herm_tol``
+    relative to its largest entry modulus; the symmetrization only absorbs
+    round-off.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dim = a.shape[0]
-    scale = scale_of(a)
-    if scale == 0.0:
-        return np.zeros(dim)
-    if hermitian_deviation(a) > herm_tol * scale:
-        raise ValueError(
-            f"operator is not Hermitian: deviation {hermitian_deviation(a):.3e} "
-            f"exceeds {herm_tol:.1e} * scale"
-        )
-    m = np.array(symmetrize(a))
-    if dim == 1:
-        return np.array([m[0, 0].real])
-    threshold = _JACOBI_TOL * scale
-    off_diag = ~np.eye(dim, dtype=bool)
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        if np.max(np.abs(m[off_diag])) <= threshold:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                _jacobi_rotate(m, p, q)
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    return np.sort(np.diag(m).real)
+    a = as_operator(a)
+    dev = hermitian_deviation(a)
+    if dev > herm_tol * scale_of(a):
+        raise ValueError(f"operator is not Hermitian: deviation {dev:.3e} exceeds {herm_tol:.1e} * scale")
+    return np.linalg.eigvalsh(symmetrize(a))
 
 
-def min_eigenvalue(a, herm_tol: float = 1e-8) -> float:
+def min_eigenvalue(a, herm_tol: float = EIGENSOLVER_HERMITICITY_TOL) -> float:
     """Smallest eigenvalue of a Hermitian operator (errors if not Hermitian)."""
     return float(hermitian_eigenvalues(a, herm_tol=herm_tol)[0])

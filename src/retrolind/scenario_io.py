@@ -78,6 +78,13 @@ def matrix_to_pairs(a) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def _as_float(x: int | float, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ScenarioFormatError(f"{where}: integer is too large for a float") from None
+
+
 def _entry_from_pair(obj, where: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -85,7 +92,7 @@ def _entry_from_pair(obj, where: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise ScenarioFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(_as_float(obj[0], where), _as_float(obj[1], where))
 
 
 def matrix_from_pairs(obj, where: str) -> np.ndarray:
@@ -105,7 +112,7 @@ def matrix_from_pairs(obj, where: str) -> np.ndarray:
 def _require_number(obj, where: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ScenarioFormatError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    return _as_float(obj, where)
 
 
 def _require_int(obj, where: str) -> int:
@@ -258,6 +265,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
 
 

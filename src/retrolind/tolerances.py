@@ -1,0 +1,32 @@
+"""Every numerical tolerance in retrolind, by name; no module writes its own.
+
+Each name is also importable from the module that uses it.  "Relative" means
+relative to the largest entry modulus of the operand (``operators.scale_of``).
+"""
+
+# Scenario invariants (model)
+HERMITICITY_TOL = 1e-10  # Hermiticity of scenario operators, relative
+TRACE_TOL = 1e-10  # |trace - 1| of a density operator
+EIGENVALUE_TOL = 1e-9  # absolute negativity allowance on eigenvalues
+POM_SUM_TOL = 1e-9  # entrywise deviation of the outcome-operator sum from identity
+PRIOR_SUM_TOL = 1e-10  # |sum of priors - 1|
+
+# Eigensolver (operators)
+EIGENSOLVER_HERMITICITY_TOL = 1e-8  # default Hermiticity demanded by hermitian_eigenvalues, relative
+
+# Evolution guards (dynamics)
+TRACE_DRIFT_TOL = 1e-8  # |trace - 1| allowed on recorded evolved states
+POSITIVITY_DRIFT_TOL = 1e-7  # eigenvalue negativity allowed on recorded evolved states
+HERMITICITY_STEP_TOL = 1e-10  # per-step hermiticity drift, relative to state scale
+RETRODICTIVE_RHS_TRACE_TOL = 1e-8  # |trace - 1| of a state passed to retrodictive_rhs
+
+# Inference
+NEGATIVE_PROB_TOL = 1e-9  # raw values this far below zero are round-off, clamped
+RAW_SUM_TOL = 1e-7  # allowed deviation of raw predictive probabilities from total 1
+PROBABILITY_SUM_TOL = 1e-9  # |sum - 1| of a ProbabilityTable
+PREPARATION_TRACE_TOL = 1e-8  # |total trace - 1| of the preparation operators
+NORMALIZE_TRACE_FLOOR = 1e-12  # smallest outcome-operator trace normalize_to_retrodictive divides by
+RETRODICTIVE_EIG_TOL = 1e-6  # eigenvalue negativity a normalized backward-evolved element may carry
+
+# Command line
+PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes

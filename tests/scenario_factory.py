@@ -1,7 +1,7 @@
 """Random scenario builders shared across the test modules.
 
-Matrix decompositions from numpy.linalg are used freely here as independent
-reference tooling; the package under test never calls them.
+Matrix decompositions from numpy.linalg are used freely here to build
+random inputs.
 """
 
 from __future__ import annotations

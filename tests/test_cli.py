@@ -47,6 +47,15 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == EXIT_PARSE
 
+    def test_integer_too_large_for_float(self, tmp_path, capsys):
+        text = (SCENARIOS_DIR / "atom_demo.json").read_text()
+        path = tmp_path / "huge_t_m.json"
+        path.write_text(text.replace('"t_m": 1.3862943611198906', f'"t_m": {10**400}'))
+        assert main(["validate", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: t_m:")
+        assert err.count("\n") == 1
+
 
 class TestRetrodict:
     def test_csv_output(self, capsys):
@@ -116,6 +125,20 @@ class TestEvolve:
         assert code == EXIT_OK
         last = out_path.read_text().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(0.5, abs=1e-8)
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path):
+        out_path = tmp_path / "no_such_dir" / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "retrolind.cli", "evolve", DEMO, "--mode", "predictive",
+             "--initial", "+", "--out", str(out_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: cannot write {out_path}: No such file or directory\n"
+        assert "Traceback" not in proc.stderr
+        assert not out_path.parent.exists()
 
     def test_garbage_initial(self, tmp_path, capsys):
         code = main(["evolve", DEMO, "--mode", "predictive", "--initial", "nonsense",

@@ -134,7 +134,7 @@ class TestFrobeniusDistance:
 
 
 class TestHermitianEigenvalues:
-    """The cyclic-Jacobi solver against independent references."""
+    """The eigensolver against independent references."""
 
     def test_diagonal(self):
         vals = hermitian_eigenvalues(np.diag([0.75, 0.25]).astype(complex))
@@ -171,6 +171,31 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(EXCITED_TO_GROUND)
+
+
+class TestKnownSpectra:
+    """Eigenvalues of U diag(lam) U^dagger, known by construction."""
+
+    def test_recovers_chosen_spectrum(self):
+        rng = np.random.default_rng(24)
+        for dim in range(1, 9):
+            spectra = [np.sort(rng.uniform(-3.0, 3.0, size=dim)) for _ in range(5)]
+            spectra.append(np.repeat([-1.0, 2.5], [dim // 2, dim - dim // 2]))  # degenerate
+            for lam in spectra:
+                u, _ = np.linalg.qr(random_complex(rng, dim))
+                a = (u * lam) @ dagger(u)
+                np.testing.assert_allclose(
+                    hermitian_eigenvalues(a), lam, rtol=0, atol=1e-12 * scale_of(a)
+                )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = identity(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(a)
+        with pytest.raises(ValueError, match="finite"):
+            min_eigenvalue(a)
 
 
 class TestMinEigenvalue:

@@ -134,6 +134,24 @@ class TestParseScenario:
         with pytest.raises(ScenarioFormatError, match="integrator"):
             parse_scenario(doc)
 
+    def test_integer_too_large_for_float_time(self):
+        doc = _demo_doc()
+        doc["t_m"] = 10**400
+        with pytest.raises(ScenarioFormatError, match="t_m: integer is too large"):
+            parse_scenario(doc)
+
+    def test_integer_too_large_for_float_prior(self):
+        doc = _demo_doc()
+        doc["ensemble"][1]["prior"] = -(10**400)
+        with pytest.raises(ScenarioFormatError, match=r"ensemble\[1\]\.prior: integer is too large"):
+            parse_scenario(doc)
+
+    def test_integer_too_large_for_float_matrix_entry(self):
+        doc = _demo_doc()
+        doc["hamiltonian"][0][1] = [0.0, 10**400]
+        with pytest.raises(ScenarioFormatError, match=r"hamiltonian\[0\]\[1\]: integer is too large"):
+            parse_scenario(doc)
+
     def test_physics_violation_carries_report(self):
         doc = _demo_doc()
         for entry in doc["ensemble"]:
@@ -161,6 +179,12 @@ class TestLoadScenario:
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2,\n  "hamiltonian": [[\n')
         with pytest.raises(ScenarioFormatError, match=r"line \d+, column \d+"):
+            load_scenario(path)
+
+    def test_integer_beyond_digit_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_demo_doc()).replace('"t_p": 0.0', '"t_p": ' + "9" * 5000))
+        with pytest.raises(ScenarioFormatError, match="huge.json"):
             load_scenario(path)
 
     def test_shipped_demo_loads(self):
