@@ -175,13 +175,10 @@ def rk4_integrate(
     x0,
     duration: float,
     config: IntegratorConfig = _DEFAULT_CONFIG,
-    post_step: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
-    Records every record_every-th state plus the final one.  post_step, if
-    given, maps (state, step_index) to the state actually kept; evolution
-    wrappers use it to re-symmetrize Hermitian states.  Raises
+    Records every record_every-th state plus the final one.  Raises
     IntegrationError with the offending step index if the state stops being
     finite.
     """
@@ -200,8 +197,6 @@ def rk4_integrate(
         k3 = rhs(x + (0.5 * h) * k2)
         k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            x = post_step(x, k)
         if not np.all(np.isfinite(x)):
             raise IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
         if k % config.record_every == 0 or k == n_steps:
@@ -210,42 +205,34 @@ def rk4_integrate(
     return Trajectory(np.asarray(times), tuple(states))
 
 
-def _symmetrizing_post_step(dim: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Absorb per-step hermiticity round-off; loud failure if it is not round-off."""
-
-    def post(v: np.ndarray, step: int) -> np.ndarray:
+def _evolve(
+    model: LindbladModel, rhs, x0: np.ndarray, duration: float, config: IntegratorConfig, check_trace: bool
+) -> Trajectory:
+    """Integrate a Hermitian operator and guard every recorded state: the
+    Hermiticity drift must be round-off, which symmetrizing then absorbs;
+    the trace (if check_trace) and positivity must hold."""
+    dim = model.dim
+    flat = rk4_integrate(rhs, x0.reshape(-1), duration, config)
+    states = []
+    for t, v in zip(flat.times, flat.states):
         m = v.reshape(dim, dim)
         drift = hermitian_deviation(m)
         if drift > HERMITICITY_STEP_TOL * scale_of(m):
             raise IntegrationError(
-                f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at step {step}",
-                step=step,
+                f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at time {t:g}"
             )
-        return symmetrize(m).reshape(-1)
-
-    return post
-
-
-def _evolve(
-    model: LindbladModel, rhs, x0: np.ndarray, duration: float, config: IntegratorConfig, check_trace: bool
-) -> Trajectory:
-    """Integrate a Hermitian operator, symmetrizing each step, then check every
-    recorded state's trace (if check_trace) and positivity."""
-    dim = model.dim
-    flat = rk4_integrate(rhs, x0.reshape(-1), duration, config, post_step=_symmetrizing_post_step(dim))
-    traj = Trajectory(flat.times, tuple(v.reshape(dim, dim) for v in flat.states))
-    if check_trace:
-        for t, state in zip(traj.times, traj.states):
-            dev = abs(trace(state) - 1.0)
+        m = symmetrize(m)
+        if check_trace:
+            dev = abs(trace(m) - 1.0)
             if dev > TRACE_DRIFT_TOL:
                 raise IntegrationError(f"trace off by {dev:.3e} at time {t:g}; step size too coarse")
-    for t, state in zip(traj.times, traj.states):
-        low = min_eigenvalue(state)
+        low = min_eigenvalue(m)
         if low < -POSITIVITY_DRIFT_TOL:
             raise IntegrationError(
                 f"eigenvalue {low:.3e} below -{POSITIVITY_DRIFT_TOL:.1e} at time {t:g}; step size too coarse"
             )
-    return traj
+        states.append(m)
+    return Trajectory(flat.times, tuple(states))
 
 
 def evolve_predictive(

@@ -92,18 +92,18 @@ def _clamp_raw(raw: np.ndarray, what: str) -> np.ndarray:
     return np.clip(raw, 0.0, None)
 
 
-def normalize_to_retrodictive(pi, eig_tol: float = RETRODICTIVE_EIG_TOL) -> DensityOperator:
+def normalize_to_retrodictive(pi) -> DensityOperator:
     """Outcome operator divided by its trace: the retrodictive state.
 
-    The trace must be real and positive; eig_tol admits the slight
-    negativity a backward-evolved element can carry after division by a
-    sub-unit trace.  The DensityOperator constructor checks Hermiticity.
+    The trace must be real and positive; RETRODICTIVE_EIG_TOL admits the
+    slight negativity a backward-evolved element can carry after division by
+    a sub-unit trace.  The DensityOperator constructor checks Hermiticity.
     """
     pi = np.asarray(pi, dtype=np.complex128)
     tr = trace(pi).real
     if tr <= NORMALIZE_TRACE_FLOOR:
         raise ValueError(f"outcome operator trace {tr:.3e} is too small to normalize")
-    return DensityOperator(pi / tr, eig_tol=eig_tol)
+    return DensityOperator(pi / tr, eig_tol=RETRODICTIVE_EIG_TOL)
 
 
 def preparation_operators(
@@ -115,12 +115,10 @@ def preparation_operators(
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
     if t_minus_tp < 0.0:
         raise ValueError(f"time offset must be >= 0, got {t_minus_tp}")
-    ops = []
-    for prior, state in zip(ensemble.priors, ensemble.states):
-        if t_minus_tp == 0.0:
-            ops.append(prior * state.op)
-        else:
-            ops.append(prior * evolve_predictive(model, state, t_minus_tp, config).final)
+    ops = [
+        prior * evolve_predictive(model, state, t_minus_tp, config).final
+        for prior, state in zip(ensemble.priors, ensemble.states)
+    ]
     total_trace = math.fsum(trace(op).real for op in ops)
     if abs(total_trace - 1.0) > PREPARATION_TRACE_TOL:
         raise IntegrationError(
@@ -133,8 +131,6 @@ def _forward_state(scenario: Scenario, prep_index: int, collapse_time: float) ->
     """Prepared state carried forward from t_p to the collapse time."""
     forward = collapse_time - scenario.t_p
     state = scenario.ensemble.states[prep_index]
-    if forward == 0.0:
-        return state.op
     return evolve_predictive(scenario.model, state, forward, scenario.integrator).final
 
 
@@ -142,8 +138,6 @@ def _backward_element(scenario: Scenario, outcome_index: int, collapse_time: flo
     """Outcome operator carried backward from t_m to the collapse time."""
     backward = scenario.t_m - collapse_time
     element = scenario.pom.elements[outcome_index]
-    if backward == 0.0:
-        return element
     return evolve_pom_backward(scenario.model, element, backward, scenario.integrator).final
 
 
@@ -189,11 +183,7 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     prior-weighted preparations.
     """
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    element = scenario.pom.elements[j]
-    window = scenario.duration
-    if window > 0.0:
-        element = evolve_pom_backward(scenario.model, element, window, scenario.integrator).final
-    rho_retr = normalize_to_retrodictive(element)
+    rho_retr = normalize_to_retrodictive(_backward_element(scenario, j, scenario.t_p))
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
     raw = np.array([trace(rho_retr.op @ lam).real for lam in lambdas])
     raw = _clamp_raw(raw, "preparation weight")

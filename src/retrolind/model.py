@@ -217,6 +217,20 @@ def _config_issues(steps_per_unit_time: int, record_every: int) -> list[Validati
     return issues
 
 
+def _step_count_issues(t_p: float, t_m: float, steps_per_unit_time: int) -> list[ValidationIssue]:
+    """(t_m - t_p) * steps_per_unit_time, the RK4 step count, must be a finite
+    float.  Callers pass times and a step density that are each valid."""
+    try:
+        finite = math.isfinite((t_m - t_p) * steps_per_unit_time)
+    except OverflowError:  # an int too large to convert to float
+        finite = False
+    if finite:
+        return []
+    return [
+        ValidationIssue("integrator.steps_per_unit_time", "step count over the window is not a finite float", math.nan)
+    ]
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 settings: step density and recording cadence."""
@@ -330,7 +344,9 @@ class Scenario:
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self) -> None:
-        issues = _times_issues(self.t_p, self.t_m)
+        issues = _times_issues(self.t_p, self.t_m) or _step_count_issues(
+            self.t_p, self.t_m, self.integrator.steps_per_unit_time
+        )
         for part, name in ((self.ensemble.dim, "ensemble"), (self.pom.dim, "pom")):
             if part != self.model.dim:
                 issues.append(
@@ -367,8 +383,8 @@ def validate_scenario_data(
     for i, st in enumerate(states):
         issues += _density_issues(f"ensemble.states[{i}]", st, dim)
     issues += _pom_issues(tuple(pom_elements), tuple(pom_labels), dim)
-    issues += _times_issues(t_p, t_m)
-    issues += _config_issues(steps_per_unit_time, record_every)
+    timing = _times_issues(t_p, t_m) + _config_issues(steps_per_unit_time, record_every)
+    issues += timing or _step_count_issues(t_p, t_m, steps_per_unit_time)
     return ValidationReport(tuple(issues))
 
 

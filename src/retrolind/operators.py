@@ -88,20 +88,22 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def hermitian_eigenvalues(a, herm_tol: float = EIGENSOLVER_HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian operator, ascending (LAPACK ``eigvalsh``).
 
-    The input must be square, finite, and Hermitian to within ``herm_tol``
-    relative to its largest entry modulus; the symmetrization only absorbs
-    round-off.
+    The input must be square, finite, and Hermitian to within
+    EIGENSOLVER_HERMITICITY_TOL relative to its largest entry modulus; the
+    symmetrization only absorbs round-off.
     """
     a = as_operator(a)
     dev = hermitian_deviation(a)
-    if dev > herm_tol * scale_of(a):
-        raise ValueError(f"operator is not Hermitian: deviation {dev:.3e} exceeds {herm_tol:.1e} * scale")
+    if dev > EIGENSOLVER_HERMITICITY_TOL * scale_of(a):
+        raise ValueError(
+            f"operator is not Hermitian: deviation {dev:.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale"
+        )
     return np.linalg.eigvalsh(symmetrize(a))
 
 
-def min_eigenvalue(a, herm_tol: float = EIGENSOLVER_HERMITICITY_TOL) -> float:
+def min_eigenvalue(a) -> float:
     """Smallest eigenvalue of a Hermitian operator (errors if not Hermitian)."""
-    return float(hermitian_eigenvalues(a, herm_tol=herm_tol)[0])
+    return float(hermitian_eigenvalues(a)[0])

@@ -256,9 +256,11 @@ def parse_scenario(doc: dict) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Read and validate a scenario JSON file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -267,6 +269,8 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     except ValueError as exc:  # an integer literal beyond Python's digit limit
         raise ScenarioFormatError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ScenarioFormatError(f"{path}: JSON nested too deeply to parse") from None
     return parse_scenario(doc)
 
 

@@ -20,6 +20,13 @@ DEMO = str(SCENARIOS_DIR / "atom_demo.json")
 HALF_LIFE_WINDOW = 2.0 * math.log(2.0)
 
 
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in its own process, so an uncaught exception shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "retrolind.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+
+
 class TestExitCodeValues:
     def test_documented_mapping(self):
         assert (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_CONSISTENCY, EXIT_INTEGRATION) == (
@@ -54,6 +61,33 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: t_m:")
+        assert err.count("\n") == 1
+
+    def test_step_count_too_large_for_a_float(self, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "atom_demo.json").read_text())
+        doc["integrator"]["steps_per_unit_time"] = 10**400
+        path = tmp_path / "huge_steps.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("validate", str(path))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            "scenario is invalid:\n  integrator.steps_per_unit_time: "
+            "step count over the window is not a finite float (deviation nan)\n"
+        )
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        proc = _run_cli("validate", str(path))
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr == f"parse error: {path}: JSON nested too deeply to parse\n"
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 2, "label": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["validate", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: not UTF-8 text:")
         assert err.count("\n") == 1
 
 
@@ -128,12 +162,7 @@ class TestEvolve:
 
     def test_unwritable_out_is_a_usage_error(self, tmp_path):
         out_path = tmp_path / "no_such_dir" / "x.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "retrolind.cli", "evolve", DEMO, "--mode", "predictive",
-             "--initial", "+", "--out", str(out_path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli("evolve", DEMO, "--mode", "predictive", "--initial", "+", "--out", str(out_path))
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
         assert proc.stderr == f"error: cannot write {out_path}: No such file or directory\n"
@@ -191,6 +220,15 @@ class TestDemoAtom:
     def test_rejects_negative_duration(self, capsys):
         assert main(["demo-atom", "--gamma", "1.0", "--duration", "-1.0"]) == EXIT_USAGE
 
+    def test_step_count_too_large_for_a_float(self):
+        proc = _run_cli("demo-atom", "--gamma", "1", "--duration", "1e308")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: integrator.steps_per_unit_time: "
+            "step count over the window is not a finite float (deviation nan)\n"
+        )
+
 
 class TestArgumentParsing:
     def test_no_command_is_a_usage_error(self):
@@ -206,10 +244,6 @@ class TestArgumentParsing:
 
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "retrolind.cli", "validate", DEMO],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_cli("validate", DEMO)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "OK"

@@ -11,6 +11,7 @@ from retrolind import (
     evolve_pom_backward,
     evolve_predictive,
     evolve_retrodictive,
+    hermitian_deviation,
     pom_backward_generator,
     pom_premeasurement_rhs,
     predictive_generator,
@@ -20,6 +21,7 @@ from retrolind import (
     trace,
     two_level_decay_model,
 )
+from retrolind import dynamics
 from retrolind.atom import analytic_retrodictive_state
 
 from scenario_factory import random_density, random_model
@@ -351,3 +353,46 @@ class TestEvolveRetrodictive:
         rho = DensityOperator(np.eye(3, dtype=complex) / 3.0)
         with pytest.raises(ValueError, match="dimension"):
             evolve_retrodictive(model, rho, 1.0)
+
+
+def _evolve_mode(mode: str, model, op: np.ndarray, duration: float) -> Trajectory:
+    config = IntegratorConfig(400, 40)
+    if mode == "predictive":
+        return evolve_predictive(model, DensityOperator(op), duration, config)
+    if mode == "pom-backward":
+        return evolve_pom_backward(model, op, duration, config)
+    return evolve_retrodictive(model, DensityOperator(op), duration, config)
+
+
+MODES = ("predictive", "pom-backward", "retrodictive")
+
+
+class TestRecordedStateGuards:
+    def test_hermiticity_drift_is_an_integration_error(self, monkeypatch):
+        model = random_model(np.random.default_rng(31), dim=3)
+        # rho -> -i H rho alone does not preserve Hermiticity.
+        monkeypatch.setattr(
+            dynamics, "predictive_generator", lambda m: -1j * np.kron(m.hamiltonian, np.eye(m.dim))
+        )
+        rho = DensityOperator(np.eye(3, dtype=complex) / 3.0)
+        with pytest.raises(IntegrationError, match="hermiticity drift .* at time 0.1$") as err:
+            evolve_predictive(model, rho, 0.5, IntegratorConfig(400, 40))
+        assert err.value.step is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_recorded_state_is_exactly_hermitian(self, mode):
+        rng = np.random.default_rng(32)
+        model = random_model(rng, dim=4)
+        traj = _evolve_mode(mode, model, random_density(rng, 4), 0.5)
+        assert len(traj) == 6
+        assert [hermitian_deviation(state) for state in traj.states] == [0.0] * len(traj)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_duration_returns_hermitian_input_bit_for_bit(self, mode):
+        rng = np.random.default_rng(33)
+        model = random_model(rng, dim=4)
+        rho = random_density(rng, 4)
+        rho = (rho + dagger(rho)) / 2.0
+        assert hermitian_deviation(rho) == 0.0
+        final = _evolve_mode(mode, model, rho, 0.0).final
+        assert final.tobytes() == rho.tobytes()
