@@ -22,9 +22,12 @@ The identity is a fixed point of the outcome-operator equation, and the
 final nonlinear term keeps the retrodictive state normalized.
 
 For speed the evolution routines integrate the equivalent generator matrix
-acting on row-major-flattened operators; the operator-form functions above
+G acting on row-major-flattened operators; the operator-form functions above
 are the reference definitions and the two forms are tested against each
-other.
+other.  The two linear modes step by the precomputed RK4 matrix
+S = sum_{k<=4} (hG)^k / k!, which advances any number of operators at once
+as the columns of one block; the retrodictive mode steps stage by stage
+through its nonlinear right-hand side.
 """
 
 from __future__ import annotations
@@ -170,13 +173,41 @@ def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
     return total
 
 
+def _linear_rhs(model: LindbladModel, backward: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> G v with G the predictive generator, or pom_backward_generator if
+    backward.  G is built at the first call, so a zero-length integration,
+    which never calls its right-hand side, builds no d^4 generator."""
+    built: list[np.ndarray] = []
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        if not built:
+            built.append(pom_backward_generator(model) if backward else predictive_generator(model))
+        return built[0] @ v
+
+    return rhs
+
+
+def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+    k1 = rhs(x)
+    k2 = rhs(x + (0.5 * h) * k1)
+    k3 = rhs(x + (0.5 * h) * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_integrate(
     rhs: Callable[[np.ndarray], np.ndarray],
     x0,
     duration: float,
     config: IntegratorConfig = _DEFAULT_CONFIG,
+    linear: bool = False,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
+
+    With linear=True, rhs must be a time-independent linear map v -> G v
+    acting on the leading axis.  One RK4 step of rhs on the identity then
+    gives the step matrix S = sum_{k<=4} (hG)^k / k!, and every step is
+    x <- S x, where x0 may be a block of columns advanced together.
 
     Records every record_every-th state plus the final one.  Raises
     IntegrationError with the offending step index if the state stops being
@@ -186,53 +217,65 @@ def rk4_integrate(
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     x = np.array(x0, dtype=np.complex128)
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     if duration == 0.0:
         return Trajectory(np.asarray(times), tuple(states))
     n_steps = math.ceil(duration * config.steps_per_unit_time)
     h = duration / n_steps
+    if linear:
+        advance = _rk4_step(rhs, np.eye(x.shape[0], dtype=np.complex128), h).__matmul__
+    else:
+
+        def advance(v: np.ndarray) -> np.ndarray:
+            return _rk4_step(rhs, v, h)
+
     for k in range(1, n_steps + 1):
-        k1 = rhs(x)
-        k2 = rhs(x + (0.5 * h) * k1)
-        k3 = rhs(x + (0.5 * h) * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        x = advance(x)
+        if not np.isfinite(x).all():
             raise IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
         if k % config.record_every == 0 or k == n_steps:
             times.append(k * h)
-            states.append(x.copy())
+            states.append(x)
     return Trajectory(np.asarray(times), tuple(states))
 
 
 def _evolve(
-    model: LindbladModel, rhs, x0: np.ndarray, duration: float, config: IntegratorConfig, check_trace: bool
-) -> Trajectory:
-    """Integrate a Hermitian operator and guard every recorded state: the
-    Hermiticity drift must be round-off, which symmetrizing then absorbs;
-    the trace (if check_trace) and positivity must hold."""
+    model: LindbladModel,
+    rhs: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    duration: float,
+    config: IntegratorConfig,
+    check_trace: bool,
+    linear: bool = True,
+) -> list[Trajectory]:
+    """Integrate x0, one row-major-flattened Hermitian operator or a block of
+    them as columns, and guard every recorded state of each: the Hermiticity
+    drift must be round-off, which symmetrizing then absorbs; the trace (if
+    check_trace) and positivity must hold.  One trajectory per operator."""
     dim = model.dim
-    flat = rk4_integrate(rhs, x0.reshape(-1), duration, config)
-    states = []
-    for t, v in zip(flat.times, flat.states):
-        m = v.reshape(dim, dim)
-        drift = hermitian_deviation(m)
-        if drift > HERMITICITY_STEP_TOL * scale_of(m):
-            raise IntegrationError(
-                f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at time {t:g}"
-            )
-        m = symmetrize(m)
-        if check_trace:
-            dev = abs(trace(m) - 1.0)
-            if dev > TRACE_DRIFT_TOL:
-                raise IntegrationError(f"trace off by {dev:.3e} at time {t:g}; step size too coarse")
-        low = min_eigenvalue(m)
-        if low < -POSITIVITY_DRIFT_TOL:
-            raise IntegrationError(
-                f"eigenvalue {low:.3e} below -{POSITIVITY_DRIFT_TOL:.1e} at time {t:g}; step size too coarse"
-            )
-        states.append(m)
-    return Trajectory(flat.times, tuple(states))
+    flat = rk4_integrate(rhs, x0, duration, config, linear=linear)
+    blocks = [x.reshape(dim * dim, -1) for x in flat.states]
+    columns: list[list[np.ndarray]] = [[] for _ in range(blocks[0].shape[1])]
+    for t, block in zip(flat.times, blocks):
+        for states, v in zip(columns, block.T):
+            m = v.reshape(dim, dim)
+            drift = hermitian_deviation(m)
+            if drift > HERMITICITY_STEP_TOL * scale_of(m):
+                raise IntegrationError(
+                    f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at time {t:g}"
+                )
+            m = symmetrize(m)
+            if check_trace:
+                dev = abs(trace(m) - 1.0)
+                if dev > TRACE_DRIFT_TOL:
+                    raise IntegrationError(f"trace off by {dev:.3e} at time {t:g}; step size too coarse")
+            low = min_eigenvalue(m)
+            if low < -POSITIVITY_DRIFT_TOL:
+                raise IntegrationError(
+                    f"eigenvalue {low:.3e} below -{POSITIVITY_DRIFT_TOL:.1e} at time {t:g}; step size too coarse"
+                )
+            states.append(m)
+    return [Trajectory(flat.times, tuple(states)) for states in columns]
 
 
 def evolve_predictive(
@@ -243,8 +286,8 @@ def evolve_predictive(
 ) -> Trajectory:
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
     _check_model_operator(model, rho_p.op)
-    gen = predictive_generator(model)
-    return _evolve(model, lambda v: gen @ v, rho_p.op, duration, config, check_trace=True)
+    rhs = _linear_rhs(model, backward=False)
+    return _evolve(model, rhs, rho_p.op.reshape(-1), duration, config, check_trace=True)[0]
 
 
 def evolve_pom_backward(
@@ -260,8 +303,8 @@ def evolve_pom_backward(
     """
     pi_m = _check_model_operator(model, pi_m)
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
-    gen = pom_backward_generator(model)
-    return _evolve(model, lambda v: gen @ v, pi_m, duration, config, check_trace=False)
+    rhs = _linear_rhs(model, backward=True)
+    return _evolve(model, rhs, pi_m.reshape(-1), duration, config, check_trace=False)[0]
 
 
 def evolve_retrodictive(
@@ -272,14 +315,14 @@ def evolve_retrodictive(
 ) -> Trajectory:
     """Evolve a retrodictive state backward from the measurement.
 
-    Same parameterization as evolve_pom_backward; the nonlinear term keeps
-    every recorded state unit-trace.
+    Same parameterization as evolve_pom_backward, but stepped stage by stage:
+    the nonlinear term keeps every recorded state unit-trace.
     """
     _check_model_operator(model, rho_m.op)
-    gen = pom_backward_generator(model)
+    linear = _linear_rhs(model, backward=True)
     kvec = _jump_commutator_sum(model).T.reshape(-1)
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        return gen @ v + (2.0 * (kvec @ v)) * v
+        return linear(v) + (2.0 * (kvec @ v)) * v
 
-    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True)
+    return _evolve(model, rhs, rho_m.op.reshape(-1), duration, config, check_trace=True, linear=False)[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, evolve_pom_backward, evolve_predictive
+from .dynamics import IntegrationError, _check_model_operator, _evolve, _linear_rhs
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -115,10 +115,10 @@ def preparation_operators(
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
     if t_minus_tp < 0.0:
         raise ValueError(f"time offset must be >= 0, got {t_minus_tp}")
-    ops = [
-        prior * evolve_predictive(model, state, t_minus_tp, config).final
-        for prior, state in zip(ensemble.priors, ensemble.states)
-    ]
+    _check_model_operator(model, ensemble.states[0].op)  # the ensemble's states share one shape
+    states = [st.op for st in ensemble.states]
+    finals = _finals(model, states, t_minus_tp, config, backward=False)
+    ops = [prior * final for prior, final in zip(ensemble.priors, finals)]
     total_trace = math.fsum(trace(op).real for op in ops)
     if abs(total_trace - 1.0) > PREPARATION_TRACE_TOL:
         raise IntegrationError(
@@ -127,18 +127,42 @@ def preparation_operators(
     return ops
 
 
-def _forward_state(scenario: Scenario, prep_index: int, collapse_time: float) -> np.ndarray:
-    """Prepared state carried forward from t_p to the collapse time."""
-    forward = collapse_time - scenario.t_p
-    state = scenario.ensemble.states[prep_index]
-    return evolve_predictive(scenario.model, state, forward, scenario.integrator).final
+def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> list[np.ndarray]:
+    """Final states of one batched run of ops over duration, by the backward
+    (outcome-operator) equation or the predictive one, whose states keep unit trace."""
+    block = np.stack([np.reshape(op, -1) for op in ops], axis=1)
+    runs = _evolve(model, _linear_rhs(model, backward), block, duration, config, check_trace=not backward)
+    return [run.final for run in runs]
 
 
-def _backward_element(scenario: Scenario, outcome_index: int, collapse_time: float) -> np.ndarray:
-    """Outcome operator carried backward from t_m to the collapse time."""
-    backward = scenario.t_m - collapse_time
-    element = scenario.pom.elements[outcome_index]
-    return evolve_pom_backward(scenario.model, element, backward, scenario.integrator).final
+# The helpers below take Scenario-owned operators, validated when the
+# scenario was built, so they skip the input checks of the public evolve_*.
+
+
+def _forward_states(scenario: Scenario, prep_indices, collapse_time: float) -> list[np.ndarray]:
+    """Prepared states carried forward from t_p to the collapse time in one batched run."""
+    ops = [scenario.ensemble.states[i].op for i in prep_indices]
+    return _finals(scenario.model, ops, collapse_time - scenario.t_p, scenario.integrator, backward=False)
+
+
+def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float) -> list[np.ndarray]:
+    """Outcome operators carried backward from t_m to the collapse time in one batched run."""
+    ops = [scenario.pom.elements[j] for j in outcome_indices]
+    return _finals(scenario.model, ops, scenario.t_m - collapse_time, scenario.integrator, backward=True)
+
+
+def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> list[np.ndarray]:
+    """op at the start of the first segment and at the end of each, carried
+    from segment to segment by one generator."""
+    rhs = _linear_rhs(scenario.model, backward)
+    points = []
+    for segment in segments:
+        x0 = np.reshape(op, -1)
+        run = _evolve(scenario.model, rhs, x0, float(segment), scenario.integrator, check_trace=not backward)[0]
+        points.append(run.states[0])
+        op = run.final
+    points.append(op)
+    return points
 
 
 def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> float:
@@ -149,6 +173,18 @@ def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> flo
             f"collapse time {collapse_time} outside [{scenario.t_p}, {scenario.t_m}]"
         )
     return collapse_time
+
+
+def _outcome_probs(rho_t: np.ndarray, elements: list[np.ndarray]) -> np.ndarray:
+    """Pairings Tr[rho_t Pi_j], which must already sum to 1 within 1e-7, normalized exactly."""
+    raw = np.array([trace(rho_t @ pi).real for pi in elements])
+    raw = _clamp_raw(raw, "outcome probability")
+    total = raw.sum()
+    if abs(total - 1.0) > RAW_SUM_TOL:
+        raise IntegrationError(
+            f"raw outcome probabilities sum to {total!r}, off beyond {RAW_SUM_TOL:.1e}"
+        )
+    return raw / total
 
 
 def predict_outcome_probs(
@@ -163,16 +199,9 @@ def predict_outcome_probs(
     """
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")
     t = _check_collapse_time(scenario, collapse_time)
-    rho_t = _forward_state(scenario, i, t)
-    elements = [_backward_element(scenario, j, t) for j in range(len(scenario.pom))]
-    raw = np.array([trace(rho_t @ pi).real for pi in elements])
-    raw = _clamp_raw(raw, "outcome probability")
-    total = raw.sum()
-    if abs(total - 1.0) > RAW_SUM_TOL:
-        raise IntegrationError(
-            f"raw outcome probabilities sum to {total!r}, off beyond {RAW_SUM_TOL:.1e}"
-        )
-    return ProbabilityTable(scenario.pom.labels, raw / total)
+    (rho_t,) = _forward_states(scenario, [i], t)
+    elements = _backward_elements(scenario, range(len(scenario.pom)), t)
+    return ProbabilityTable(scenario.pom.labels, _outcome_probs(rho_t, elements))
 
 
 def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> ProbabilityTable:
@@ -183,7 +212,8 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     prior-weighted preparations.
     """
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    rho_retr = normalize_to_retrodictive(_backward_element(scenario, j, scenario.t_p))
+    (element,) = _backward_elements(scenario, [j], scenario.t_p)
+    rho_retr = normalize_to_retrodictive(element)
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
     raw = np.array([trace(rho_retr.op @ lam).real for lam in lambdas])
     raw = _clamp_raw(raw, "preparation weight")
@@ -200,12 +230,10 @@ def bayes_from_predictive(
 ) -> ProbabilityTable:
     """P(preparation i | outcome j) from predictive likelihoods and priors."""
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    likelihoods = np.array(
-        [
-            predict_outcome_probs(scenario, i, collapse_time).probs[j]
-            for i in range(len(scenario.ensemble))
-        ]
-    )
+    t = _check_collapse_time(scenario, collapse_time)
+    states = _forward_states(scenario, range(len(scenario.ensemble)), t)
+    elements = _backward_elements(scenario, range(len(scenario.pom)), t)
+    likelihoods = np.array([_outcome_probs(rho_t, elements)[j] for rho_t in states])
     raw = likelihoods * np.asarray(scenario.ensemble.priors)
     total = raw.sum()
     if total <= 0.0:
@@ -222,15 +250,16 @@ def collapse_time_sweep(
     """The raw pairing Tr[rho_i(t) Pi_j(t)] at n_times points across [t_p, t_m].
 
     The continuous equations make this constant in t; the spread across the
-    returned points measures integration error.
+    returned points measures integration error.  The state is carried
+    forward from t_p and the outcome operator backward from t_m, each from
+    one collapse time to the next.
     """
     if n_times < 2:
         raise ValueError(f"need at least 2 collapse times, got {n_times}")
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    points = []
-    for t in np.linspace(scenario.t_p, scenario.t_m, n_times):
-        rho_t = _forward_state(scenario, i, float(t))
-        element = _backward_element(scenario, j, float(t))
-        points.append((float(t), trace(rho_t @ element).real))
-    return points
+    times = np.linspace(scenario.t_p, scenario.t_m, n_times)
+    segments = np.diff(times)
+    forward = _chain(scenario, scenario.ensemble.states[i].op, segments, backward=False)
+    backward = _chain(scenario, scenario.pom.elements[j], segments[::-1], backward=True)[::-1]
+    return [(float(t), trace(rho_t @ pi).real) for t, rho_t, pi in zip(times, forward, backward)]

@@ -19,7 +19,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .operators import hermitian_deviation, identity, min_eigenvalue, scale_of, trace
-from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, POM_SUM_TOL, PRIOR_SUM_TOL, TRACE_TOL
+from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, MAX_RECORDED_BYTES, MAX_RK4_STEPS, POM_SUM_TOL
+from .tolerances import PRIOR_SUM_TOL, TRACE_TOL
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -217,18 +218,46 @@ def _config_issues(steps_per_unit_time: int, record_every: int) -> list[Validati
     return issues
 
 
-def _step_count_issues(t_p: float, t_m: float, steps_per_unit_time: int) -> list[ValidationIssue]:
-    """(t_m - t_p) * steps_per_unit_time, the RK4 step count, must be a finite
-    float.  Callers pass times and a step density that are each valid."""
+def _step_count_issues(
+    t_p: float, t_m: float, steps_per_unit_time: int, record_every: int, dim: int
+) -> list[ValidationIssue]:
+    """The work of one integration over the window must fit the budget: its
+    RK4 step count ceil((t_m - t_p) * steps_per_unit_time) must be a finite
+    float of at most MAX_RK4_STEPS, and its recorded states at most
+    MAX_RECORDED_BYTES.  Callers pass arguments that are each valid."""
     try:
-        finite = math.isfinite((t_m - t_p) * steps_per_unit_time)
+        steps = (t_m - t_p) * steps_per_unit_time
+        finite = math.isfinite(steps)
     except OverflowError:  # an int too large to convert to float
         finite = False
-    if finite:
-        return []
-    return [
-        ValidationIssue("integrator.steps_per_unit_time", "step count over the window is not a finite float", math.nan)
-    ]
+    if not finite:
+        return [
+            ValidationIssue(
+                "integrator.steps_per_unit_time", "step count over the window is not a finite float", math.nan
+            )
+        ]
+    n_steps = math.ceil(steps)
+    if n_steps > MAX_RK4_STEPS:
+        return [
+            ValidationIssue(
+                "integrator.steps_per_unit_time",
+                f"{n_steps:.3e} RK4 steps over the window exceed the budget of {MAX_RK4_STEPS:.0e}; "
+                "lower steps_per_unit_time or shorten the window",
+                n_steps - MAX_RK4_STEPS,
+            )
+        ]
+    records = 1 + -(-n_steps // record_every)
+    recorded_bytes = records * dim * dim * 16
+    if recorded_bytes > MAX_RECORDED_BYTES:
+        return [
+            ValidationIssue(
+                "integrator.record_every",
+                f"{records} recorded states take {recorded_bytes:.3e} bytes, over the budget of "
+                f"{MAX_RECORDED_BYTES:.0f}; raise record_every",
+                recorded_bytes - MAX_RECORDED_BYTES,
+            )
+        ]
+    return []
 
 
 @dataclass(frozen=True)
@@ -344,8 +373,9 @@ class Scenario:
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self) -> None:
+        config = self.integrator
         issues = _times_issues(self.t_p, self.t_m) or _step_count_issues(
-            self.t_p, self.t_m, self.integrator.steps_per_unit_time
+            self.t_p, self.t_m, config.steps_per_unit_time, config.record_every, self.model.dim
         )
         for part, name in ((self.ensemble.dim, "ensemble"), (self.pom.dim, "pom")):
             if part != self.model.dim:
@@ -384,7 +414,9 @@ def validate_scenario_data(
         issues += _density_issues(f"ensemble.states[{i}]", st, dim)
     issues += _pom_issues(tuple(pom_elements), tuple(pom_labels), dim)
     timing = _times_issues(t_p, t_m) + _config_issues(steps_per_unit_time, record_every)
-    issues += timing or _step_count_issues(t_p, t_m, steps_per_unit_time)
+    if not timing and isinstance(dim, int):
+        timing = _step_count_issues(t_p, t_m, steps_per_unit_time, record_every, dim)
+    issues += timing
     return ValidationReport(tuple(issues))
 
 

@@ -1,4 +1,5 @@
-"""Every numerical tolerance in retrolind, by name; no module writes its own.
+"""Every numerical tolerance and work budget in retrolind, by name; no module
+writes its own.
 
 Each name is also importable from the module that uses it.  "Relative" means
 relative to the largest entry modulus of the operand (``operators.scale_of``).
@@ -30,3 +31,7 @@ RETRODICTIVE_EIG_TOL = 1e-6  # eigenvalue negativity a normalized backward-evolv
 
 # Command line
 PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes
+
+# Work budget, checked at validation (model)
+MAX_RK4_STEPS = 1e7  # RK4 steps of one integration over the window
+MAX_RECORDED_BYTES = 2.0**30  # bytes of the recorded states of one integrated operator

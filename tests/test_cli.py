@@ -75,6 +75,20 @@ class TestValidate:
             "step count over the window is not a finite float (deviation nan)\n"
         )
 
+    def test_step_count_over_the_work_budget(self, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "atom_demo.json").read_text())
+        doc["t_m"] = 1e7
+        doc["integrator"]["record_every"] = 1
+        path = tmp_path / "long_window.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("validate", str(path))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "scenario is invalid:\n  integrator.steps_per_unit_time: 1.000e+10 RK4 steps over the window "
+            "exceed the budget of 1e+07; lower steps_per_unit_time or shorten the window (deviation 9.990000e+09)\n"
+        )
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
@@ -227,6 +241,15 @@ class TestDemoAtom:
         assert proc.stderr == (
             "error: integrator.steps_per_unit_time: "
             "step count over the window is not a finite float (deviation nan)\n"
+        )
+
+    def test_step_count_over_the_work_budget(self):
+        proc = _run_cli("demo-atom", "--gamma", "1", "--duration", "1e300")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: integrator.steps_per_unit_time: 1.000e+303 RK4 steps over the window exceed the budget "
+            "of 1e+07; lower steps_per_unit_time or shorten the window (deviation 1.000000e+303)\n"
         )
 
 

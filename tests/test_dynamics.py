@@ -23,6 +23,7 @@ from retrolind import (
 )
 from retrolind import dynamics
 from retrolind.atom import analytic_retrodictive_state
+from retrolind.operators import scale_of
 
 from scenario_factory import random_density, random_model
 
@@ -396,3 +397,87 @@ class TestRecordedStateGuards:
         assert hermitian_deviation(rho) == 0.0
         final = _evolve_mode(mode, model, rho, 0.0).final
         assert final.tobytes() == rho.tobytes()
+
+
+def _random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+class TestLinearStepMatrix:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_stage_by_stage_stepping(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        config = IntegratorConfig(400, 40)
+        for _ in range(5):
+            model = random_model(rng, dim=dim)
+            for gen in (predictive_generator(model), pom_backward_generator(model)):
+                x0 = _random_operator(rng, dim).reshape(-1)
+                staged = rk4_integrate(lambda v: gen @ v, x0, 0.7, config)
+                stepped = rk4_integrate(lambda v: gen @ v, x0, 0.7, config, linear=True)
+                np.testing.assert_array_equal(stepped.times, staged.times)
+                for a, b in zip(stepped.states, staged.states):
+                    assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_overflow_reports_the_first_step(self, linear):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
+                rk4_integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0, linear=linear)
+        assert err.value.step == 1
+
+    def test_overflow_step_is_the_first_non_finite_power(self):
+        config = IntegratorConfig(1000, 10)
+        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, linear=True).final
+        expected, x = 0, np.array([1e300 + 0.0j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(x).all():
+                expected, x = expected + 1, growth * x
+            with pytest.raises(IntegrationError) as err:
+                rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, linear=True)
+        assert 1 < expected < 1000
+        assert err.value.step == expected
+
+    def test_block_of_columns_matches_one_column_runs(self):
+        rng = np.random.default_rng(44)
+        config = IntegratorConfig(500, 25)
+        for dim in (2, 3, 4):
+            gen = pom_backward_generator(random_model(rng, dim=dim))
+            block = np.stack([random_density(rng, dim).reshape(-1) for _ in range(4)], axis=1)
+            batched = rk4_integrate(lambda v: gen @ v, block, 0.9, config, linear=True)
+            for col in range(block.shape[1]):
+                single = rk4_integrate(lambda v: gen @ v, block[:, col], 0.9, config, linear=True)
+                for a, b in zip(batched.states, single.states):
+                    assert np.max(np.abs(a[:, col] - b)) <= 1e-14
+
+    def test_batched_evolution_matches_one_operator_at_a_time(self):
+        rng = np.random.default_rng(45)
+        model = random_model(rng, dim=3)
+        config = IntegratorConfig(400, 40)
+        elements = [random_density(rng, 3) for _ in range(3)]
+        block = np.stack([el.reshape(-1) for el in elements], axis=1)
+        batched = dynamics._evolve(
+            model, dynamics._linear_rhs(model, backward=True), block, 0.8, config, check_trace=False
+        )
+        for element, traj in zip(elements, batched):
+            single = evolve_pom_backward(model, element, 0.8, config)
+            np.testing.assert_array_equal(traj.times, single.times)
+            for a, b in zip(traj.states, single.states):
+                assert np.max(np.abs(a - b)) <= 1e-14
+
+
+def _refuse_to_build(model):
+    raise AssertionError("a zero-length evolution built a generator")
+
+
+class TestZeroLengthEvolution:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_builds_no_generator(self, mode, monkeypatch):
+        monkeypatch.setattr(dynamics, "predictive_generator", _refuse_to_build)
+        monkeypatch.setattr(dynamics, "pom_backward_generator", _refuse_to_build)
+        rng = np.random.default_rng(46)
+        model = random_model(rng, dim=3)
+        rho = random_density(rng, 3)
+        rho = (rho + dagger(rho)) / 2.0
+        traj = _evolve_mode(mode, model, rho, 0.0)
+        assert len(traj) == 1
+        assert traj.final.tobytes() == rho.tobytes()

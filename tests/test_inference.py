@@ -12,15 +12,19 @@ from retrolind import (
     Scenario,
     bayes_from_predictive,
     collapse_time_sweep,
+    evolve_pom_backward,
+    evolve_predictive,
     normalize_to_retrodictive,
     predict_outcome_probs,
     preparation_operators,
     retrodict_preparation_probs,
+    trace,
     two_level_decay_model,
 )
+from retrolind import dynamics
 from retrolind.atom import analytic_preparation_probability, demo_scenario
 
-from scenario_factory import random_density, random_model, random_pom_elements
+from scenario_factory import random_density, random_model, random_pom_elements, random_scenario
 
 HALF_LIFE_WINDOW = 2.0 * math.log(2.0)
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
@@ -202,6 +206,20 @@ class TestBayesFromPredictive:
             bayes = bayes_from_predictive(scenario, "x")
             np.testing.assert_allclose(direct.probs, bayes.probs, atol=1e-9)
 
+    def test_matches_the_per_preparation_route(self):
+        """One batched forward run gives what one predict_outcome_probs call per preparation gives."""
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            scenario = random_scenario(rng, max_window=2.0)
+            for j in range(len(scenario.pom)):
+                t = float(rng.uniform(scenario.t_p, scenario.t_m))
+                likelihoods = np.array(
+                    [predict_outcome_probs(scenario, i, t).probs[j] for i in range(len(scenario.ensemble))]
+                )
+                raw = likelihoods * np.asarray(scenario.ensemble.priors)
+                batched = bayes_from_predictive(scenario, j, t)
+                assert np.max(np.abs(batched.probs - raw / raw.sum())) <= 1e-12
+
 
 class TestCollapseTimeSweep:
     def test_pairing_constant_across_window(self):
@@ -227,3 +245,29 @@ class TestCollapseTimeSweep:
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match="at least 2"):
             collapse_time_sweep(scenario, "+", "+", 1)
+
+    def test_matches_independent_integration_per_point(self):
+        """Chaining from point to point matches integrating from t_p and from t_m anew for every point."""
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            scenario = random_scenario(rng)
+            i = int(rng.integers(0, len(scenario.ensemble)))
+            j = int(rng.integers(0, len(scenario.pom)))
+            model, config = scenario.model, scenario.integrator
+            for t, value in collapse_time_sweep(scenario, i, j, 5):
+                rho_t = evolve_predictive(model, scenario.ensemble.states[i], t - scenario.t_p, config).final
+                pi_t = evolve_pom_backward(model, scenario.pom.elements[j], scenario.t_m - t, config).final
+                assert abs(value - trace(rho_t @ pi_t).real) <= 1e-10
+
+
+def _refuse_to_build(model):
+    raise AssertionError("a zero-length evolution built a generator")
+
+
+def test_zero_window_builds_no_generator(monkeypatch):
+    monkeypatch.setattr(dynamics, "predictive_generator", _refuse_to_build)
+    monkeypatch.setattr(dynamics, "pom_backward_generator", _refuse_to_build)
+    scenario = demo_scenario(1.0, 0.0)
+    assert retrodict_preparation_probs(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
+    assert bayes_from_predictive(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
+    assert [p for _, p in collapse_time_sweep(scenario, "+", "+", 3)] == pytest.approx([1.0] * 3, abs=1e-15)

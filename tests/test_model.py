@@ -264,3 +264,30 @@ class TestValidateScenario:
             math.inf,
         )
         assert any("finite" in line for line in report.lines())
+
+
+def _dim4_report(window: float, record_every: int):
+    """A valid dim-4 scenario as raw data, at the default 1000 steps per unit time."""
+    eye = np.eye(4, dtype=complex)
+    return validate_scenario_data(
+        4, np.zeros((4, 4), dtype=complex), [], [1.0], [eye / 4.0], ("a",), [eye], ("x",),
+        0.0, window, 1000, record_every,
+    )
+
+
+class TestWorkBudget:
+    def test_step_count_at_the_budget_is_allowed(self):
+        assert validate_scenario(demo_scenario(1.0, 10_000.0)).ok
+
+    def test_step_count_over_the_budget(self):
+        with pytest.raises(ValueError, match="RK4 steps over the window exceed the budget of 1e\\+07"):
+            demo_scenario(1.0, 10_000.01)
+
+    def test_recorded_bytes_over_the_budget(self):
+        (issue,) = _dim4_report(5000.0, 1).issues
+        assert issue.field == "integrator.record_every"
+        assert issue.message.startswith("5000001 recorded states take 1.280e+09 bytes, over the budget of 1073741824")
+        assert issue.deviation == 5000001 * 256 - 2**30
+
+    def test_recorded_bytes_within_the_budget(self):
+        assert _dim4_report(5000.0, 2).ok
