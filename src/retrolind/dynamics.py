@@ -249,33 +249,40 @@ def _evolve(
     linear: bool = True,
 ) -> list[Trajectory]:
     """Integrate x0, one row-major-flattened Hermitian operator or a block of
-    them as columns, and guard every recorded state of each: the Hermiticity
-    drift must be round-off, which symmetrizing then absorbs; the trace (if
-    check_trace) and positivity must hold.  One trajectory per operator."""
+    them as columns, and guard every recorded state of each, one call per
+    check over the stack of all of them: the Hermiticity drift must be
+    round-off, which symmetrizing then absorbs; the trace (if check_trace)
+    and positivity must hold.  One trajectory per operator, whose states are
+    views of the guarded stack.
+
+    The earliest failing record, and in it the lowest failing column, raises
+    its first failing check in that order; at time 0 no step has been taken,
+    so a failure there is the initial operator's and raises ValueError."""
     dim = model.dim
     flat = rk4_integrate(rhs, x0, duration, config, linear=linear)
-    blocks = [x.reshape(dim * dim, -1) for x in flat.states]
-    columns: list[list[np.ndarray]] = [[] for _ in range(blocks[0].shape[1])]
-    for t, block in zip(flat.times, blocks):
-        for states, v in zip(columns, block.T):
-            m = v.reshape(dim, dim)
-            drift = hermitian_deviation(m)
-            if drift > HERMITICITY_STEP_TOL * scale_of(m):
-                raise IntegrationError(
-                    f"hermiticity drift {drift:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale at time {t:g}"
-                )
-            m = symmetrize(m)
-            if check_trace:
-                dev = abs(trace(m) - 1.0)
-                if dev > TRACE_DRIFT_TOL:
-                    raise IntegrationError(f"trace off by {dev:.3e} at time {t:g}; step size too coarse")
-            low = min_eigenvalue(m)
-            if low < -POSITIVITY_DRIFT_TOL:
-                raise IntegrationError(
-                    f"eigenvalue {low:.3e} below -{POSITIVITY_DRIFT_TOL:.1e} at time {t:g}; step size too coarse"
-                )
-            states.append(m)
-    return [Trajectory(flat.times, tuple(states)) for states in columns]
+    times = flat.times
+    stack = np.stack([x.reshape(dim * dim, -1).T for x in flat.states])
+    del flat
+    stack = stack.reshape(len(times), -1, dim, dim)
+    drift = hermitian_deviation(stack)
+    drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
+    stack = symmetrize(stack)
+    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
+    low = min_eigenvalue(stack)
+    failed = drifted | (trace_dev > TRACE_DRIFT_TOL) | (low < -POSITIVITY_DRIFT_TOL)
+    if failed.any():
+        r, c = np.unravel_index(np.argmax(failed), failed.shape)
+        if drifted[r, c]:
+            what = f"hermiticity drift {drift[r, c]:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
+        elif trace_dev[r, c] > TRACE_DRIFT_TOL:
+            what = f"trace off by {trace_dev[r, c]:.3e}"
+        else:
+            what = f"eigenvalue {low[r, c]:.3e} below -{POSITIVITY_DRIFT_TOL:.1e}"
+        if r == 0:
+            raise ValueError(f"initial operator: {what}")
+        hint = "" if drifted[r, c] else "; step size too coarse"
+        raise IntegrationError(f"{what} at time {times[r]:g}{hint}")
+    return [Trajectory(times, tuple(states)) for states in np.swapaxes(stack, 0, 1)]
 
 
 def evolve_predictive(

@@ -28,7 +28,7 @@ from .model import (
     PreparationEnsemble,
     Scenario,
 )
-from .operators import trace
+from .operators import as_operator, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
 from .tolerances import RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
 
@@ -95,11 +95,12 @@ def _clamp_raw(raw: np.ndarray, what: str) -> np.ndarray:
 def normalize_to_retrodictive(pi) -> DensityOperator:
     """Outcome operator divided by its trace: the retrodictive state.
 
-    The trace must be real and positive; RETRODICTIVE_EIG_TOL admits the
-    slight negativity a backward-evolved element can carry after division by
-    a sub-unit trace.  The DensityOperator constructor checks Hermiticity.
+    The operator must be square and finite, and its trace real and positive;
+    RETRODICTIVE_EIG_TOL admits the slight negativity a backward-evolved
+    element can carry after division by a sub-unit trace.  The
+    DensityOperator constructor checks Hermiticity.
     """
-    pi = np.asarray(pi, dtype=np.complex128)
+    pi = as_operator(pi)
     tr = trace(pi).real
     if tr <= NORMALIZE_TRACE_FLOOR:
         raise ValueError(f"outcome operator trace {tr:.3e} is too small to normalize")

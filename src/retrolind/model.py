@@ -6,9 +6,10 @@ probabilities, the measurement (a complete set of positive outcome
 operators), the preparation and measurement times, and integrator settings.
 
 Constructors validate their invariants and raise ValueError listing every
-violation.  The same predicates are available as data via
-:func:`validate_scenario_data` (used by the CLI on raw parsed input) and
-:func:`validate_scenario`.
+violation; they are the one validation pass of a scenario load.  The same
+predicates are available as data via :func:`validate_scenario_data` (which
+the loader calls only to report every issue of an input a constructor
+rejected) and :func:`validate_scenario`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .operators import hermitian_deviation, identity, min_eigenvalue, scale_of, trace
-from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, MAX_RECORDED_BYTES, MAX_RK4_STEPS, POM_SUM_TOL
-from .tolerances import PRIOR_SUM_TOL, TRACE_TOL
+from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, MAX_GENERATOR_BYTES, MAX_RECORDED_BYTES, MAX_RK4_STEPS
+from .tolerances import POM_SUM_TOL, PRIOR_SUM_TOL, TRACE_TOL
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -122,13 +123,7 @@ def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     return issues
 
 
-def _density_issues(
-    field: str,
-    op,
-    dim: int | None,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = EIGENVALUE_TOL,
-) -> list[ValidationIssue]:
+def _density_issues(field: str, op, dim: int | None, eig_tol: float = EIGENVALUE_TOL) -> list[ValidationIssue]:
     issues = _shape_issues(field, op, dim)
     if issues:
         return issues
@@ -136,7 +131,7 @@ def _density_issues(
     if issues:
         return issues
     trace_dev = abs(trace(op) - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > TRACE_TOL:
         issues.append(ValidationIssue(field, "trace is not 1 within tolerance", trace_dev))
     low = min_eigenvalue(op)
     if low < -eig_tol:
@@ -222,9 +217,20 @@ def _step_count_issues(
     t_p: float, t_m: float, steps_per_unit_time: int, record_every: int, dim: int
 ) -> list[ValidationIssue]:
     """The work of one integration over the window must fit the budget: its
-    RK4 step count ceil((t_m - t_p) * steps_per_unit_time) must be a finite
-    float of at most MAX_RK4_STEPS, and its recorded states at most
+    d^2 x d^2 generator must take at most MAX_GENERATOR_BYTES, its RK4 step
+    count ceil((t_m - t_p) * steps_per_unit_time) must be a finite float of
+    at most MAX_RK4_STEPS, and its recorded states at most
     MAX_RECORDED_BYTES.  Callers pass arguments that are each valid."""
+    generator_bytes = dim**4 * 16
+    if generator_bytes > MAX_GENERATOR_BYTES:
+        return [
+            ValidationIssue(
+                "model.dim",
+                f"dimension {dim} needs a {dim * dim}x{dim * dim} generator of {generator_bytes:.3e} bytes, "
+                f"over the budget of {MAX_GENERATOR_BYTES:.0f}; reduce the dimension",
+                generator_bytes - MAX_GENERATOR_BYTES,
+            )
+        ]
     try:
         steps = (t_m - t_p) * steps_per_unit_time
         finite = math.isfinite(steps)
@@ -296,11 +302,10 @@ class DensityOperator:
     """Unit-trace positive Hermitian operator describing a prepared state."""
 
     op: np.ndarray
-    trace_tol: InitVar[float] = TRACE_TOL
     eig_tol: InitVar[float] = EIGENVALUE_TOL
 
-    def __post_init__(self, trace_tol: float, eig_tol: float) -> None:
-        _raise_if_issues(_density_issues("density", self.op, None, trace_tol, eig_tol))
+    def __post_init__(self, eig_tol: float) -> None:
+        _raise_if_issues(_density_issues("density", self.op, None, eig_tol))
         object.__setattr__(self, "op", _frozen(self.op))
 
     @property
@@ -409,12 +414,13 @@ def validate_scenario_data(
     construct successfully.
     """
     issues = _model_issues(dim, hamiltonian, jump_ops)
+    model_ok = not issues
     issues += _prior_issues(tuple(priors), tuple(state_labels), len(states))
     for i, st in enumerate(states):
         issues += _density_issues(f"ensemble.states[{i}]", st, dim)
     issues += _pom_issues(tuple(pom_elements), tuple(pom_labels), dim)
     timing = _times_issues(t_p, t_m) + _config_issues(steps_per_unit_time, record_every)
-    if not timing and isinstance(dim, int):
+    if not timing and model_ok:
         timing = _step_count_issues(t_p, t_m, steps_per_unit_time, record_every, dim)
     issues += timing
     return ValidationReport(tuple(issues))

@@ -7,6 +7,12 @@ holding complex128 entries; hbar = 1 throughout the package.
 
 Relative tolerances in this package are measured against the largest entry
 modulus of the operand (see :func:`scale_of`).
+
+The adjoint, trace, Hermiticity and eigenvalue helpers also take a stack of
+matrices over leading axes and then act on each matrix (the last two axes)
+at once, so a whole recorded block is checked in one call per check.  On a
+single matrix a reduction returns a Python scalar, on a stack an array with
+one entry per matrix.
 """
 
 from __future__ import annotations
@@ -31,27 +37,34 @@ __all__ = [
 
 
 def as_operator(entries) -> np.ndarray:
-    """Coerce to a square complex matrix, requiring finite entries."""
+    """Coerce to a square complex matrix or a stack of them, requiring finite entries."""
     a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("operator entries must be finite")
     return a
 
 
+def _per_matrix(x: np.ndarray):
+    """A reduction over one matrix as a Python scalar; over a stack, as is."""
+    return x.item() if x.ndim == 0 else x
+
+
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def scale_of(a) -> float:
-    """Largest entry modulus; the reference for relative tolerances."""
-    return float(np.max(np.abs(a)))
+def scale_of(a):
+    """Largest entry modulus of a matrix (or vector), or of each matrix of a
+    stack; the reference for relative tolerances."""
+    a = np.abs(a)
+    return _per_matrix(np.max(a, axis=(-2, -1)) if a.ndim > 2 else np.max(a))
 
 
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def _require_same_dim(a, b, what: str) -> None:
@@ -67,9 +80,9 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def trace(a) -> complex:
-    """Sum of diagonal entries, as a Python complex."""
-    return complex(np.trace(a))
+def trace(a):
+    """Sum of diagonal entries, as a Python complex for a single matrix."""
+    return _per_matrix(np.trace(a, axis1=-2, axis2=-1))
 
 
 def symmetrize(a) -> np.ndarray:
@@ -77,9 +90,9 @@ def symmetrize(a) -> np.ndarray:
     return (a + dagger(a)) / 2.0
 
 
-def hermitian_deviation(a) -> float:
+def hermitian_deviation(a):
     """Largest entrywise modulus of A - A^dagger; zero iff exactly Hermitian."""
-    return float(np.max(np.abs(a - dagger(a))))
+    return _per_matrix(np.max(np.abs(a - dagger(a)), axis=(-2, -1)))
 
 
 def frobenius_distance(a, b) -> float:
@@ -92,18 +105,20 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian operator, ascending (LAPACK ``eigvalsh``).
 
     The input must be square, finite, and Hermitian to within
-    EIGENSOLVER_HERMITICITY_TOL relative to its largest entry modulus; the
-    symmetrization only absorbs round-off.
+    EIGENSOLVER_HERMITICITY_TOL relative to its largest entry modulus (each
+    matrix's own, for a stack); the symmetrization only absorbs round-off.
     """
     a = as_operator(a)
-    dev = hermitian_deviation(a)
-    if dev > EIGENSOLVER_HERMITICITY_TOL * scale_of(a):
+    dev = np.asarray(hermitian_deviation(a))
+    bad = dev > EIGENSOLVER_HERMITICITY_TOL * np.asarray(scale_of(a))
+    if bad.any():
         raise ValueError(
-            f"operator is not Hermitian: deviation {dev:.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale"
+            f"operator is not Hermitian: deviation {dev[bad].max():.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale"
         )
     return np.linalg.eigvalsh(symmetrize(a))
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian operator (errors if not Hermitian)."""
-    return float(hermitian_eigenvalues(a)[0])
+def min_eigenvalue(a):
+    """Smallest eigenvalue of a Hermitian operator, or of each of a stack
+    (errors if not Hermitian)."""
+    return _per_matrix(hermitian_eigenvalues(a)[..., 0])

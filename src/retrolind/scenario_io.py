@@ -177,7 +177,11 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Build a validated Scenario from parsed JSON data."""
+    """Build a validated Scenario from parsed JSON data.
+
+    The constructors are the one validation pass; only when one of them
+    rejects the input does validate_scenario_data run, to collect every
+    issue into a ScenarioValidationError."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"top level must be an object, got {type(doc).__name__}")
     missing = _REQUIRED_KEYS - doc.keys()
@@ -224,33 +228,36 @@ def parse_scenario(doc: dict) -> Scenario:
     steps = _require_int(integrator_doc.get("steps_per_unit_time", 1000), "integrator.steps_per_unit_time")
     record = _require_int(integrator_doc.get("record_every", 10), "integrator.record_every")
 
-    report = validate_scenario_data(
-        dim,
-        hamiltonian,
-        jump_ops,
-        priors,
-        states,
-        state_labels,
-        pom_elements,
-        pom_labels,
-        t_p,
-        t_m,
-        steps,
-        record,
-    )
-    if not report.ok:
-        raise ScenarioValidationError(report)
-
-    return Scenario(
-        model=LindbladModel(dim, hamiltonian, tuple(jump_ops)),
-        ensemble=PreparationEnsemble(
-            tuple(priors), tuple(DensityOperator(s) for s in states), tuple(state_labels)
-        ),
-        pom=Pom(tuple(pom_elements), tuple(pom_labels)),
-        t_p=t_p,
-        t_m=t_m,
-        integrator=IntegratorConfig(steps, record),
-    )
+    try:
+        return Scenario(
+            model=LindbladModel(dim, hamiltonian, tuple(jump_ops)),
+            ensemble=PreparationEnsemble(
+                tuple(priors), tuple(DensityOperator(s) for s in states), tuple(state_labels)
+            ),
+            pom=Pom(tuple(pom_elements), tuple(pom_labels)),
+            t_p=t_p,
+            t_m=t_m,
+            integrator=IntegratorConfig(steps, record),
+        )
+    except ValueError:
+        # The constructors stop at the first invalid piece; report them all.
+        report = validate_scenario_data(
+            dim,
+            hamiltonian,
+            jump_ops,
+            priors,
+            states,
+            state_labels,
+            pom_elements,
+            pom_labels,
+            t_p,
+            t_m,
+            steps,
+            record,
+        )
+        if report.ok:
+            raise
+        raise ScenarioValidationError(report) from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -89,6 +89,49 @@ class TestValidate:
             "exceed the budget of 1e+07; lower steps_per_unit_time or shorten the window (deviation 9.990000e+09)\n"
         )
 
+    @staticmethod
+    def _closed_system(dim: int) -> dict:
+        """A valid scenario of one state and one outcome on a closed system."""
+        zero = [[[0.0, 0.0]] * dim for _ in range(dim)]
+        ground = [[[float(r == c == 0), 0.0] for c in range(dim)] for r in range(dim)]
+        eye = [[[float(r == c), 0.0] for c in range(dim)] for r in range(dim)]
+        return {
+            "dim": dim,
+            "hamiltonian": zero,
+            "jump_ops": [],
+            "ensemble": [{"label": "0", "prior": 1.0, "state": ground}],
+            "pom": [{"label": "any", "element": eye}],
+            "t_p": 0.0,
+            "t_m": 1.0,
+        }
+
+    def test_generator_budget_admits_dim_64(self, tmp_path, capsys):
+        path = tmp_path / "dim64.json"
+        path.write_text(json.dumps(self._closed_system(64)))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "OK\n"
+
+    def test_generator_over_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "dim65.json"
+        path.write_text(json.dumps(self._closed_system(65)))
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "scenario is invalid:\n  model.dim: dimension 65 needs a 4225x4225 generator of 2.856e+08 bytes, "
+            "over the budget of 268435456; reduce the dimension (deviation 1.717454e+07)\n"
+        )
+
+    def test_dimension_too_large_for_a_float(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS_DIR / "atom_demo.json").read_text())
+        doc["dim"] = 10**400
+        path = tmp_path / "huge_dim.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario is invalid:\n  model.hamiltonian: dimension 2 does not match")
+        assert "budget" not in err
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
@@ -182,6 +225,25 @@ class TestEvolve:
         assert proc.stderr == f"error: cannot write {out_path}: No such file or directory\n"
         assert "Traceback" not in proc.stderr
         assert not out_path.parent.exists()
+
+    def test_initial_operator_failing_the_guard_is_a_usage_error(self, tmp_path, capsys):
+        # Normalizes within RETRODICTIVE_EIG_TOL, then fails the evolution's
+        # positivity guard before any step is taken.
+        out_path = tmp_path / "x.csv"
+        code = main(["evolve", DEMO, "--mode", "retrodictive", "--initial",
+                     "[[[1e-3,0],[0,0]],[[0,0],[-5e-10,0]]]", "--out", str(out_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: initial operator: eigenvalue -5.000e-07 below -1.0e-07\n"
+        assert "step size" not in err
+        assert not out_path.exists()
+
+    def test_non_finite_initial_is_one_line(self, tmp_path):
+        out_path = tmp_path / "x.csv"
+        proc = _run_cli("evolve", DEMO, "--mode", "retrodictive", "--initial",
+                        "[[[Infinity,0],[0,0]],[[0,0],[1,0]]]", "--out", str(out_path))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: operator entries must be finite\n"
 
     def test_garbage_initial(self, tmp_path, capsys):
         code = main(["evolve", DEMO, "--mode", "predictive", "--initial", "nonsense",

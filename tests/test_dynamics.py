@@ -399,6 +399,61 @@ class TestRecordedStateGuards:
         assert final.tobytes() == rho.tobytes()
 
 
+def _drifting_block(*columns: tuple[np.ndarray, np.ndarray]) -> list[Trajectory]:
+    """_evolve on (start, rate) columns that move in a straight line, recorded
+    at times 0, 1, 2 and 3, with every guard on."""
+    x0 = np.stack([start.reshape(-1) for start, _ in columns], axis=1).astype(complex)
+    rate = np.stack([slope.reshape(-1) for _, slope in columns], axis=1).astype(complex)
+    model = two_level_decay_model(1.0)
+    return dynamics._evolve(model, lambda v: rate, x0, 3.0, IntegratorConfig(1, 1), check_trace=True, linear=False)
+
+
+MIXED = np.diag([0.5, 0.5])
+PURE = np.diag([1.0, 0.0])
+TRACE_UP = np.diag([0.4e-8, 0.0])  # |trace - 1| passes 1e-8 between t = 2 and t = 3
+EIG_DOWN = np.diag([0.7e-7, -0.7e-7])  # an eigenvalue passes -1e-7 between t = 1 and t = 2
+SKEW = np.array([[0.0, 0.7e-10], [0.0, 0.0]])  # on PURE, drift passes 1e-10 * scale between t = 1 and t = 2
+
+
+class TestBlockGuardOrder:
+    """A failing block raises the error of the earliest failing record, of its
+    lowest failing column, and of that state's first failing check in the order
+    drift, trace, positivity."""
+
+    def test_earliest_record_wins_over_lower_column(self):
+        with pytest.raises(IntegrationError) as err:
+            _drifting_block((MIXED, TRACE_UP), (PURE, EIG_DOWN))
+        assert str(err.value) == "eigenvalue -1.400e-07 below -1.0e-07 at time 2; step size too coarse"
+
+    def test_lowest_column_wins_over_earlier_check(self):
+        with pytest.raises(IntegrationError) as err:
+            _drifting_block((MIXED, np.zeros((2, 2))), (PURE, EIG_DOWN), (PURE, SKEW))
+        assert str(err.value) == "eigenvalue -1.400e-07 below -1.0e-07 at time 2; step size too coarse"
+
+    def test_trace_check_precedes_positivity_in_one_state(self):
+        with pytest.raises(IntegrationError) as err:
+            _drifting_block((MIXED, np.zeros((2, 2))), (PURE, EIG_DOWN + 1.5 * TRACE_UP))
+        assert str(err.value) == "trace off by 1.200e-08 at time 2; step size too coarse"
+
+    def test_drift_check_precedes_the_others(self):
+        with pytest.raises(IntegrationError) as err:
+            _drifting_block((MIXED, np.zeros((2, 2))), (PURE, EIG_DOWN + 1.5 * TRACE_UP + SKEW))
+        assert str(err.value) == "hermiticity drift 1.400e-10 exceeds 1.0e-10 * scale at time 2"
+
+    def test_passing_block_gives_views_of_one_guarded_stack(self):
+        runs = _drifting_block((MIXED, np.zeros((2, 2))), (PURE, 0.1 * EIG_DOWN))
+        assert [len(run) for run in runs] == [4, 4]
+        base = runs[0].states[0].base
+        assert base is not None and base.shape == (4, 2, 2, 2)
+        assert all(state.base is base for run in runs for state in run.states)
+        np.testing.assert_allclose(runs[1].final, PURE + 0.3 * EIG_DOWN, rtol=0, atol=1e-15)
+
+    def test_failing_initial_operator_is_an_input_error(self):
+        with pytest.raises(ValueError, match=r"^initial operator: eigenvalue -5\.000e-07 below -1\.0e-07$") as err:
+            _drifting_block((MIXED, np.zeros((2, 2))), (np.diag([1.0 + 5e-7, -5e-7]), np.zeros((2, 2))))
+        assert not isinstance(err.value, IntegrationError)
+
+
 def _random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

@@ -112,7 +112,6 @@ class TestDensityOperator:
         slightly_off = PLUS * (1.0 + 5e-9)
         with pytest.raises(ValueError):
             DensityOperator(slightly_off)
-        DensityOperator(slightly_off, trace_tol=1e-7)
 
 
 class TestPom:

@@ -222,3 +222,42 @@ class TestMinEigenvalue:
             ref = float(np.min(np.linalg.eigvalsh(h)))
             top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
             assert abs(min_eigenvalue(h) - ref) <= 1e-10 * top
+
+
+class TestStacks:
+    """On a stack of matrices each helper acts on every matrix at once and
+    gives, bit for bit, what it gives on that matrix alone."""
+
+    @staticmethod
+    def _stack(rng, shape, dim):
+        blocks = [symmetrize(random_complex(rng, dim)) for _ in range(int(np.prod(shape)))]
+        stack = np.stack(blocks).reshape(*shape, dim, dim)
+        return stack * rng.uniform(0.1, 100.0, size=(*shape, 1, 1)) + 1e-13 * rng.normal(size=stack.shape)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3)])
+    def test_matches_each_matrix_bitwise(self, shape):
+        rng = np.random.default_rng(91)
+        stack = self._stack(rng, shape, 4)
+        for fn in (dagger, symmetrize, hermitian_eigenvalues):
+            out = fn(stack)
+            for index in np.ndindex(*shape):
+                assert out[index].tobytes() == fn(stack[index]).tobytes(), fn.__name__
+        for fn in (scale_of, trace, hermitian_deviation, min_eigenvalue):
+            out = fn(stack)
+            assert out.shape == shape
+            for index in np.ndindex(*shape):
+                single = fn(stack[index])
+                assert type(single) in (float, complex)
+                assert out[index] == single, fn.__name__
+
+    def test_hermiticity_is_relative_to_each_matrix(self):
+        big = 1e6 * identity(2)
+        big[0, 1] += 1e-4  # 1e-10 of its own scale
+        small = identity(2)
+        assert min_eigenvalue(np.stack([big, small])).shape == (2,)
+        small[0, 1] += 1e-4  # 1e-4 of its own scale, though below big's allowance
+        with pytest.raises(ValueError, match="not Hermitian: deviation 1.000e-04"):
+            min_eigenvalue(np.stack([big, small]))
+
+    def test_scale_of_a_vector_is_its_largest_modulus(self):
+        assert scale_of(np.array([3.0, -4.0j, 1.0])) == 4.0

@@ -20,7 +20,9 @@ from retrolind.scenario_io import (
     parse_scenario,
     scenario_to_jsonable,
 )
+from retrolind import model
 from retrolind.atom import demo_scenario
+from retrolind.operators import min_eigenvalue
 
 from scenario_factory import random_density, random_model
 
@@ -191,6 +193,17 @@ class TestLoadScenario:
         scenario = load_scenario(SCENARIOS_DIR / "atom_demo.json")
         assert scenario.duration == pytest.approx(2.0 * math.log(2.0))
         assert scenario.pom.labels == ("+", "-")
+
+    def test_load_eigen_solves_each_operator_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return min_eigenvalue(a)
+
+        monkeypatch.setattr(model, "min_eigenvalue", counting)
+        load_scenario(SCENARIOS_DIR / "atom_demo.json")
+        assert len(calls) == 4  # two states and two outcome operators
 
     def test_shipped_invalid_priors_rejected(self):
         with pytest.raises(ScenarioValidationError):
