@@ -24,10 +24,14 @@ final nonlinear term keeps the retrodictive state normalized.
 For speed the evolution routines integrate the equivalent generator matrix
 G acting on row-major-flattened operators; the operator-form functions above
 are the reference definitions and the two forms are tested against each
-other.  The two linear modes step by the precomputed RK4 matrix
-S = sum_{k<=4} (hG)^k / k!, which advances any number of operators at once
-as the columns of one block; the retrodictive mode steps stage by stage
-through its nonlinear right-hand side.
+other.  Each model builds its generator once, at the first step of its
+first integration, and keeps it; the backward one is its conjugate
+transpose.  The two linear modes form the RK4 step matrix
+S = sum_{k<=4} (hG)^k / k! and then its power J = S^r, with r the record
+stride, so one product x <- x + (J - I) x carries any number of operators,
+as the columns of one block, from one recorded state to the next.  The
+retrodictive mode steps stage by stage through its nonlinear right-hand
+side.
 """
 
 from __future__ import annotations
@@ -173,15 +177,29 @@ def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
     return total
 
 
+def _model_generator(model: LindbladModel) -> np.ndarray:
+    """The model's predictive generator, built at the first call and then
+    held by the model, read-only.  The model's own arrays are read-only too,
+    so the generator cannot go stale."""
+    gen = model.__dict__.get("_generator")
+    if gen is None:
+        gen = predictive_generator(model)
+        gen.setflags(write=False)
+        object.__setattr__(model, "_generator", gen)
+    return gen
+
+
 def _linear_rhs(model: LindbladModel, backward: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> G v with G the predictive generator, or pom_backward_generator if
-    backward.  G is built at the first call, so a zero-length integration,
-    which never calls its right-hand side, builds no d^4 generator."""
+    """v -> G v with G the model's predictive generator, or its conjugate
+    transpose (the pom_backward_generator) if backward.  G is looked up at
+    the first call, so a zero-length integration, which never calls its
+    right-hand side, builds no d^4 generator."""
     built: list[np.ndarray] = []
 
     def rhs(v: np.ndarray) -> np.ndarray:
         if not built:
-            built.append(pom_backward_generator(model) if backward else predictive_generator(model))
+            gen = _model_generator(model)
+            built.append(gen.conj().T if backward else gen)
         return built[0] @ v
 
     return rhs
@@ -204,14 +222,22 @@ def rk4_integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
-    With linear=True, rhs must be a time-independent linear map v -> G v
-    acting on the leading axis.  One RK4 step of rhs on the identity then
-    gives the step matrix S = sum_{k<=4} (hG)^k / k!, and every step is
-    x <- S x, where x0 may be a block of columns advanced together.
-
     Records every record_every-th state plus the final one.  Raises
     IntegrationError with the offending step index if the state stops being
-    finite.
+    finite; numpy's overflow and invalid-value warnings are silenced, since
+    that error reports them.
+
+    With linear=True, rhs must be a time-independent linear map v -> G v
+    acting on the leading axis.  One RK4 step of rhs on the identity then
+    gives the step matrix S = sum_{k<=4} (hG)^k / k!, and its power
+    J = S^r, with r = record_every (S^m for a shorter last interval), carries
+    x0, which may be a block of columns advanced together, from one record
+    to the next in one product, x <- x + (J - I) x.  J - I is formed on
+    the increments, so the round-off of a record stays that of one step.
+    Finiteness is tested once per record; a record that is not finite is
+    re-stepped from the previous one, one S at a time, which names the first
+    non-finite step, or, where only the product with J overflowed, gives the
+    finite record.
     """
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -222,21 +248,63 @@ def rk4_integrate(
         return Trajectory(np.asarray(times), tuple(states))
     n_steps = math.ceil(duration * config.steps_per_unit_time)
     h = duration / n_steps
-    if linear:
-        advance = _rk4_step(rhs, np.eye(x.shape[0], dtype=np.complex128), h).__matmul__
-    else:
-
-        def advance(v: np.ndarray) -> np.ndarray:
-            return _rk4_step(rhs, v, h)
-
-    for k in range(1, n_steps + 1):
-        x = advance(x)
-        if not np.isfinite(x).all():
-            raise IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
-        if k % config.record_every == 0 or k == n_steps:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if linear:
+            eye = np.eye(x.shape[0], dtype=np.complex128)
+            records = _linear_records(_rk4_step(rhs, eye, h) - eye, x, n_steps, config.record_every)
+        else:
+            records = _staged_records(rhs, x, h, n_steps, config.record_every)
+        for k, state in records:
             times.append(k * h)
-            states.append(x)
+            states.append(state)
     return Trajectory(np.asarray(times), tuple(states))
+
+
+def _non_finite(k: int, n_steps: int) -> IntegrationError:
+    return IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
+
+
+def _staged_records(rhs, x: np.ndarray, h: float, n_steps: int, record_every: int):
+    """(step, state) at every record_every-th RK4 step of rhs and at the last."""
+    for k in range(1, n_steps + 1):
+        x = _rk4_step(rhs, x, h)
+        if not np.isfinite(x).all():
+            raise _non_finite(k, n_steps)
+        if k % record_every == 0 or k == n_steps:
+            yield k, x
+
+
+def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
+    """(I + inc)^m - I by binary powering, multiplied out on the increments:
+    (I + A)(I + B) = I + A + B + AB.  Near the identity this keeps the
+    relative precision of the increment, which a rounded (I + inc)^m loses."""
+    result, base = None, inc
+    while True:
+        if m & 1:
+            result = base if result is None else result + base + result @ base
+        m >>= 1
+        if not m:
+            return result
+        base = 2.0 * base + base @ base
+
+
+def _linear_records(inc: np.ndarray, x: np.ndarray, n_steps: int, record_every: int):
+    """(step, state) at the same records, for the step matrix S = I + inc:
+    each record is reached from the last as x + (J - I) x with J = S^m."""
+    k, stride = 0, 0
+    while k < n_steps:
+        m = min(record_every, n_steps - k)
+        if m != stride:
+            jump, stride = _power_increment(inc, m), m
+        nxt = x + jump @ x
+        if not np.isfinite(nxt).all():
+            nxt = x
+            for i in range(k + 1, k + m + 1):
+                nxt = nxt + inc @ nxt
+                if not np.isfinite(nxt).all():
+                    raise _non_finite(i, n_steps)
+        k, x = k + m, nxt
+        yield k, x
 
 
 def _evolve(

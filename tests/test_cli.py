@@ -173,6 +173,14 @@ class TestRetrodict:
         assert main(["retrodict", DEMO, "--outcome", "sideways"]) == EXIT_USAGE
         assert "known labels" in capsys.readouterr().err
 
+    def test_non_finite_state_is_one_line(self, tmp_path):
+        # A jump amplitude of 300 puts h * lambda near -180, far outside RK4's stability region.
+        path = tmp_path / "stiff.json"
+        path.write_text((SCENARIOS_DIR / "atom_demo.json").read_text().replace("0.7071067811865476", "300.0"))
+        proc = _run_cli("retrodict", str(path), "--outcome", "+")
+        assert proc.returncode == EXIT_INTEGRATION
+        assert proc.stderr.splitlines() == ["integration failure: non-finite state at step 49 of 1387"]
+
 
 class TestPredict:
     def test_csv_output(self, capsys):

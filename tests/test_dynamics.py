@@ -492,6 +492,74 @@ class TestLinearStepMatrix:
         assert 1 < expected < 1000
         assert err.value.step == expected
 
+    @pytest.mark.parametrize("record_every", [1, 3, 50])
+    def test_strided_records_match_per_step_stepping(self, record_every):
+        # 0.7 leaves a shorter last interval for strides 3 and 50; 0.3 is 30 steps, fewer than 50.
+        rng = np.random.default_rng(47)
+        config = IntegratorConfig(100, record_every)
+        for dim in (2, 3):
+            model = random_model(rng, dim=dim)
+            for gen in (predictive_generator(model), pom_backward_generator(model)):
+                x0 = np.stack([_random_operator(rng, dim).reshape(-1) for _ in range(4)], axis=1)
+                for duration in (0.7, 0.3):
+                    n_steps = round(duration * 100)
+                    h = duration / n_steps
+                    step = dynamics._rk4_step(lambda v: gen @ v, np.eye(dim * dim, dtype=complex), h)
+                    times, expected, x = [0.0], [x0], x0
+                    for k in range(1, n_steps + 1):
+                        x = step @ x
+                        if k % record_every == 0 or k == n_steps:
+                            times.append(k * h)
+                            expected.append(x)
+                    strided = rk4_integrate(lambda v: gen @ v, x0, duration, config, linear=True)
+                    np.testing.assert_array_equal(strided.times, times)
+                    for a, b in zip(strided.states, expected):
+                        assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+    def test_round_off_does_not_grow_with_the_record_count(self):
+        # 100 records of 50 steps against the same step matrix applied in extended precision.
+        # On random dim 2-4 generators over such a run, a rounded S^50 reused for every record
+        # drifts by 3e-14 to 6e-13 * scale, and one S per step in double precision by 3e-15 to 2e-14.
+        rng = np.random.default_rng(48)
+        config = IntegratorConfig(1000, 50)
+        for dim in (2, 3, 4):
+            gen = predictive_generator(random_model(rng, dim=dim))
+            x0 = random_density(rng, dim).reshape(-1)
+            step = dynamics._rk4_step(lambda v: gen @ v, np.eye(dim * dim, dtype=complex), 1e-3)
+            wide, x = step.astype(np.clongdouble), x0.astype(np.clongdouble)
+            strided = rk4_integrate(lambda v: gen @ v, x0, 5.0, config, linear=True)
+            for state in strided.states[1:]:
+                for _ in range(50):
+                    x = wide @ x
+                assert np.max(np.abs(state - x.astype(complex))) <= 3e-15 * scale_of(state)
+
+    def test_overflow_in_mid_interval_reports_the_exact_step(self):
+        config = IntegratorConfig(1000, 50)
+        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, linear=True).final
+        expected, x = 0, np.array([1e300 + 0.0j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(x).all():
+                expected, x = expected + 1, growth * x
+        with pytest.raises(IntegrationError) as err:
+            rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, linear=True)
+        assert expected % 50 != 0
+        assert err.value.step == expected
+
+    def test_overflowing_power_with_finite_steps_is_not_an_error(self):
+        # S = diag(1, s) is finite, but S^50 is not, and 0 * inf makes (S^50 - I) x NaN.
+        gen = np.diag([0.0, 1e6]).astype(complex)
+        x0 = np.array([1.0 + 0.0j, 0.0])
+        eye = np.eye(2, dtype=complex)
+        step = dynamics._rk4_step(lambda v: gen @ v, eye, 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(step).all()
+            assert not np.isfinite(dynamics._power_increment(step - eye, 50) @ x0).all()
+        traj = rk4_integrate(lambda v: gen @ v, x0, 0.2, IntegratorConfig(1000, 50), linear=True)
+        np.testing.assert_array_equal(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
+        for state in traj.states:
+            np.testing.assert_array_equal(state, x0)
+
     def test_block_of_columns_matches_one_column_runs(self):
         rng = np.random.default_rng(44)
         config = IntegratorConfig(500, 25)

@@ -271,3 +271,19 @@ def test_zero_window_builds_no_generator(monkeypatch):
     assert retrodict_preparation_probs(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
     assert bayes_from_predictive(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
     assert [p for _, p in collapse_time_sweep(scenario, "+", "+", 3)] == pytest.approx([1.0] * 3, abs=1e-15)
+
+
+def test_one_generator_per_model(monkeypatch):
+    builds, build = [], dynamics.predictive_generator
+
+    def counting(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(dynamics, "predictive_generator", counting)
+    scenario = demo_scenario(1.0, 0.5)
+    for _ in range(2):
+        retrodict_preparation_probs(scenario, "+")
+        bayes_from_predictive(scenario, "-")
+        collapse_time_sweep(scenario, "+", "-", 5)
+    assert builds == [scenario.model]
