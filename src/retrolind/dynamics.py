@@ -78,15 +78,21 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Recorded states over the evolution's own time variable.
 
-    times start at 0 and increase strictly; states[0] is the initial
-    operator and states[-1] the solution at the full duration.
+    times start at 0 and increase strictly.  states is one read-only array,
+    one record per time along its first axis: states[0] is the initial
+    operator (or stack) and states[-1] the solution at the full duration.
+    A sequence of arrays is stacked; an array is frozen through a view, so
+    the caller's own array stays writable.
     """
 
     times: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
+        states = np.asarray(self.states).view()
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        if len(self.times) != len(states):
             raise ValueError("times and states must have equal length")
         if len(self.times) == 0 or self.times[0] != 0.0:
             raise ValueError("trajectory must start at time 0")
@@ -222,10 +228,10 @@ def rk4_integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
-    Records every record_every-th state plus the final one.  Raises
-    IntegrationError with the offending step index if the state stops being
-    finite; numpy's overflow and invalid-value warnings are silenced, since
-    that error reports them.
+    Records every record_every-th state plus the final one, in one array.
+    Raises IntegrationError with the offending step index if the state stops
+    being finite; numpy's overflow and invalid-value warnings are silenced,
+    since that error reports them.
 
     With linear=True, rhs must be a time-independent linear map v -> G v
     acting on the leading axis.  One RK4 step of rhs on the identity then
@@ -241,23 +247,23 @@ def rk4_integrate(
     """
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    x = np.array(x0, dtype=np.complex128)
-    times = [0.0]
-    states = [x]
+    x = np.asarray(x0, dtype=np.complex128)
     if duration == 0.0:
-        return Trajectory(np.asarray(times), tuple(states))
+        return Trajectory(np.zeros(1), np.array([x]))
     n_steps = math.ceil(duration * config.steps_per_unit_time)
     h = duration / n_steps
+    steps = np.minimum(np.arange(1 + -(-n_steps // config.record_every)) * config.record_every, n_steps)
+    states = np.empty((len(steps), *x.shape), dtype=np.complex128)
+    states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         if linear:
             eye = np.eye(x.shape[0], dtype=np.complex128)
-            records = _linear_records(_rk4_step(rhs, eye, h) - eye, x, n_steps, config.record_every)
+            records = _linear_records(_rk4_step(rhs, eye, h) - eye, states[0], n_steps, config.record_every)
         else:
-            records = _staged_records(rhs, x, h, n_steps, config.record_every)
-        for k, state in records:
-            times.append(k * h)
-            states.append(state)
-    return Trajectory(np.asarray(times), tuple(states))
+            records = _staged_records(rhs, states[0], h, n_steps, config.record_every)
+        for r, state in enumerate(records, 1):
+            states[r] = state
+    return Trajectory(steps * h, states)
 
 
 def _non_finite(k: int, n_steps: int) -> IntegrationError:
@@ -265,13 +271,13 @@ def _non_finite(k: int, n_steps: int) -> IntegrationError:
 
 
 def _staged_records(rhs, x: np.ndarray, h: float, n_steps: int, record_every: int):
-    """(step, state) at every record_every-th RK4 step of rhs and at the last."""
+    """The state at every record_every-th RK4 step of rhs and at the last."""
     for k in range(1, n_steps + 1):
         x = _rk4_step(rhs, x, h)
         if not np.isfinite(x).all():
             raise _non_finite(k, n_steps)
         if k % record_every == 0 or k == n_steps:
-            yield k, x
+            yield x
 
 
 def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
@@ -289,7 +295,7 @@ def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
 
 
 def _linear_records(inc: np.ndarray, x: np.ndarray, n_steps: int, record_every: int):
-    """(step, state) at the same records, for the step matrix S = I + inc:
+    """The states at the same records, for the step matrix S = I + inc:
     each record is reached from the last as x + (J - I) x with J = S^m."""
     k, stride = 0, 0
     while k < n_steps:
@@ -304,34 +310,35 @@ def _linear_records(inc: np.ndarray, x: np.ndarray, n_steps: int, record_every: 
                 if not np.isfinite(nxt).all():
                     raise _non_finite(i, n_steps)
         k, x = k + m, nxt
-        yield k, x
+        yield x
 
 
 def _evolve(
     model: LindbladModel,
     rhs: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    ops,
     duration: float,
     config: IntegratorConfig,
     check_trace: bool,
     linear: bool = True,
-) -> list[Trajectory]:
-    """Integrate x0, one row-major-flattened Hermitian operator or a block of
-    them as columns, and guard every recorded state of each, one call per
-    check over the stack of all of them: the Hermiticity drift must be
-    round-off, which symmetrizing then absorbs; the trace (if check_trace)
-    and positivity must hold.  One trajectory per operator, whose states are
-    views of the guarded stack.
+) -> Trajectory:
+    """Integrate ops, one Hermitian (d, d) operator or an (n, d, d) stack of
+    them, and guard every recorded state, one call per check over the stack
+    of all of them: the Hermiticity drift must be round-off, which
+    symmetrizing then absorbs; the trace (if check_trace) and positivity must
+    hold.  Returns one trajectory whose states are that guarded stack, shaped
+    (records, *ops.shape).  rhs acts on the layout chosen here alone: the
+    row-major-flattened operator, or those of the stack as (d^2, n) columns.
 
-    The earliest failing record, and in it the lowest failing column, raises
-    its first failing check in that order; at time 0 no step has been taken,
-    so a failure there is the initial operator's and raises ValueError."""
-    dim = model.dim
+    The earliest failing record, and in it the lowest failing operator,
+    raises its first failing check in that order; at time 0 no step has been
+    taken, so a failure there is the initial operator's and raises ValueError."""
+    ops = np.asarray(ops)
+    x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
     flat = rk4_integrate(rhs, x0, duration, config, linear=linear)
-    times = flat.times
-    stack = np.stack([x.reshape(dim * dim, -1).T for x in flat.states])
+    times, records = flat.times, len(flat)
+    stack = np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, -1, *ops.shape[-2:])
     del flat
-    stack = stack.reshape(len(times), -1, dim, dim)
     drift = hermitian_deviation(stack)
     drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
     stack = symmetrize(stack)
@@ -350,7 +357,7 @@ def _evolve(
             raise ValueError(f"initial operator: {what}")
         hint = "" if drifted[r, c] else "; step size too coarse"
         raise IntegrationError(f"{what} at time {times[r]:g}{hint}")
-    return [Trajectory(times, tuple(states)) for states in np.swapaxes(stack, 0, 1)]
+    return Trajectory(times, stack.reshape(records, *ops.shape))
 
 
 def evolve_predictive(
@@ -362,7 +369,7 @@ def evolve_predictive(
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
     _check_model_operator(model, rho_p.op)
     rhs = _linear_rhs(model, backward=False)
-    return _evolve(model, rhs, rho_p.op.reshape(-1), duration, config, check_trace=True)[0]
+    return _evolve(model, rhs, rho_p.op, duration, config, check_trace=True)
 
 
 def evolve_pom_backward(
@@ -379,7 +386,7 @@ def evolve_pom_backward(
     pi_m = _check_model_operator(model, pi_m)
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
     rhs = _linear_rhs(model, backward=True)
-    return _evolve(model, rhs, pi_m.reshape(-1), duration, config, check_trace=False)[0]
+    return _evolve(model, rhs, pi_m, duration, config, check_trace=False)
 
 
 def evolve_retrodictive(
@@ -400,4 +407,4 @@ def evolve_retrodictive(
     def rhs(v: np.ndarray) -> np.ndarray:
         return linear(v) + (2.0 * (kvec @ v)) * v
 
-    return _evolve(model, rhs, rho_m.op.reshape(-1), duration, config, check_trace=True, linear=False)[0]
+    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True, linear=False)

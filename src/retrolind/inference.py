@@ -61,7 +61,7 @@ class ProbabilityTable:
         if np.any(probs < 0.0):
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -128,42 +128,38 @@ def preparation_operators(
     return ops
 
 
-def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> list[np.ndarray]:
-    """Final states of one batched run of ops over duration, by the backward
-    (outcome-operator) equation or the predictive one, whose states keep unit trace."""
-    block = np.stack([np.reshape(op, -1) for op in ops], axis=1)
-    runs = _evolve(model, _linear_rhs(model, backward), block, duration, config, check_trace=not backward)
-    return [run.final for run in runs]
+def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> np.ndarray:
+    """Final states, one per operator of ops, of one batched run over duration, by
+    the backward (outcome-operator) equation or the predictive one, whose states keep unit trace."""
+    return _evolve(model, _linear_rhs(model, backward), ops, duration, config, check_trace=not backward).final
 
 
 # The helpers below take Scenario-owned operators, validated when the
 # scenario was built, so they skip the input checks of the public evolve_*.
 
 
-def _forward_states(scenario: Scenario, prep_indices, collapse_time: float) -> list[np.ndarray]:
+def _forward_states(scenario: Scenario, prep_indices, collapse_time: float) -> np.ndarray:
     """Prepared states carried forward from t_p to the collapse time in one batched run."""
     ops = [scenario.ensemble.states[i].op for i in prep_indices]
     return _finals(scenario.model, ops, collapse_time - scenario.t_p, scenario.integrator, backward=False)
 
 
-def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float) -> list[np.ndarray]:
+def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float) -> np.ndarray:
     """Outcome operators carried backward from t_m to the collapse time in one batched run."""
     ops = [scenario.pom.elements[j] for j in outcome_indices]
     return _finals(scenario.model, ops, scenario.t_m - collapse_time, scenario.integrator, backward=True)
 
 
-def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> list[np.ndarray]:
+def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> np.ndarray:
     """op at the start of the first segment and at the end of each, carried
     from segment to segment by one generator."""
     rhs = _linear_rhs(scenario.model, backward)
     points = []
     for segment in segments:
-        x0 = np.reshape(op, -1)
-        run = _evolve(scenario.model, rhs, x0, float(segment), scenario.integrator, check_trace=not backward)[0]
+        run = _evolve(scenario.model, rhs, op, float(segment), scenario.integrator, check_trace=not backward)
         points.append(run.states[0])
         op = run.final
-    points.append(op)
-    return points
+    return np.array([*points, op])
 
 
 def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> float:
@@ -176,16 +172,19 @@ def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> flo
     return collapse_time
 
 
-def _outcome_probs(rho_t: np.ndarray, elements: list[np.ndarray]) -> np.ndarray:
-    """Pairings Tr[rho_t Pi_j], which must already sum to 1 within 1e-7, normalized exactly."""
-    raw = np.array([trace(rho_t @ pi).real for pi in elements])
-    raw = _clamp_raw(raw, "outcome probability")
-    total = raw.sum()
-    if abs(total - 1.0) > RAW_SUM_TOL:
-        raise IntegrationError(
-            f"raw outcome probabilities sum to {total!r}, off beyond {RAW_SUM_TOL:.1e}"
-        )
-    return raw / total
+def _outcome_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Pairings Tr[rho_i Pi_j], one row per state of the stack, each of which
+    must already sum to 1 within 1e-7, normalized exactly.  The first failing
+    row raises, a negative pairing before a sum off 1."""
+    raw = trace(states[:, None] @ elements).real
+    probs = np.clip(raw, 0.0, None)
+    total = probs.sum(axis=1)
+    failed = (raw.min(axis=1) < -NEGATIVE_PROB_TOL) | (np.abs(total - 1.0) > RAW_SUM_TOL)
+    if failed.any():
+        r = np.argmax(failed)
+        _clamp_raw(raw[r], "outcome probability")
+        raise IntegrationError(f"raw outcome probabilities sum to {float(total[r])!r}, off beyond {RAW_SUM_TOL:.1e}")
+    return probs / total[:, None]
 
 
 def predict_outcome_probs(
@@ -200,9 +199,9 @@ def predict_outcome_probs(
     """
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")
     t = _check_collapse_time(scenario, collapse_time)
-    (rho_t,) = _forward_states(scenario, [i], t)
+    states = _forward_states(scenario, [i], t)
     elements = _backward_elements(scenario, range(len(scenario.pom)), t)
-    return ProbabilityTable(scenario.pom.labels, _outcome_probs(rho_t, elements))
+    return ProbabilityTable(scenario.pom.labels, _outcome_probs(states, elements)[0])
 
 
 def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> ProbabilityTable:
@@ -216,8 +215,7 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     (element,) = _backward_elements(scenario, [j], scenario.t_p)
     rho_retr = normalize_to_retrodictive(element)
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
-    raw = np.array([trace(rho_retr.op @ lam).real for lam in lambdas])
-    raw = _clamp_raw(raw, "preparation weight")
+    raw = _clamp_raw(trace(rho_retr.op @ np.array(lambdas)).real, "preparation weight")
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("outcome is impossible under every preparation in the ensemble")
@@ -234,8 +232,7 @@ def bayes_from_predictive(
     t = _check_collapse_time(scenario, collapse_time)
     states = _forward_states(scenario, range(len(scenario.ensemble)), t)
     elements = _backward_elements(scenario, range(len(scenario.pom)), t)
-    likelihoods = np.array([_outcome_probs(rho_t, elements)[j] for rho_t in states])
-    raw = likelihoods * np.asarray(scenario.ensemble.priors)
+    raw = _outcome_probs(states, elements)[:, j] * np.asarray(scenario.ensemble.priors)
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("outcome is impossible under every preparation in the ensemble")
@@ -263,4 +260,4 @@ def collapse_time_sweep(
     segments = np.diff(times)
     forward = _chain(scenario, scenario.ensemble.states[i].op, segments, backward=False)
     backward = _chain(scenario, scenario.pom.elements[j], segments[::-1], backward=True)[::-1]
-    return [(float(t), trace(rho_t @ pi).real) for t, rho_t, pi in zip(times, forward, backward)]
+    return list(zip(times.tolist(), trace(forward @ backward).real.tolist()))

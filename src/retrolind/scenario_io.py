@@ -20,9 +20,9 @@ pairs) raise ScenarioFormatError; physics-level violations (priors off,
 incomplete measurement, ...) raise ScenarioValidationError carrying the
 full ValidationReport.
 
-Trajectory CSV: a comment line stating what the time column means, then a
-header row ``time,re_00,im_00,...`` (1 + 2 dim^2 columns), then one row per
-recorded state with at least 12 significant digits per value.
+Trajectory CSV: a comment line stating what the time column means, a header
+``time,re_00,im_00,...`` of 1 + 2 dim^2 columns (indices zero-padded to the
+width of dim - 1), then one row per state, 13 significant digits a value.
 """
 
 from __future__ import annotations
@@ -283,15 +283,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory, time_description: str) -> None:
     """Write recorded states as delimited text, one row per time."""
-    dim = trajectory.states[0].shape[0]
-    header = ["time"]
-    for r in range(dim):
-        for c in range(dim):
-            header += [f"re_{r}{c}", f"im_{r}{c}"]
-    lines = [f"# time column: {time_description}", ",".join(header)]
-    for t, state in zip(trajectory.times, trajectory.states):
-        row = [f"{t:.12e}"]
-        for z in state.reshape(-1):
-            row += [f"{z.real:.12e}", f"{z.imag:.12e}"]
-        lines.append(",".join(row))
+    dim = trajectory.states.shape[-1]
+    w = len(str(dim - 1))
+    names = [f"{part}_{r:0{w}}{c:0{w}}" for r in range(dim) for c in range(dim) for part in ("re", "im")]
+    pairs = np.ascontiguousarray(trajectory.states, dtype=np.complex128).reshape(len(trajectory), -1).view(float)
+    table = np.column_stack([trajectory.times, pairs]).tolist()
+    row = ",".join(["%.12e"] * (1 + len(names)))
+    lines = [f"# time column: {time_description}", ",".join(["time", *names]), *(row % tuple(x) for x in table)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from retrolind import (
 )
 from retrolind import dynamics
 from retrolind.atom import analytic_retrodictive_state
-from retrolind.operators import scale_of
+from retrolind.operators import scale_of, symmetrize
 
 from scenario_factory import random_density, random_model
 
@@ -50,6 +50,21 @@ class TestTrajectory:
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="increase"):
             Trajectory(np.array([0.0, 1.0, 1.0]), (EXCITED, GROUND, EXCITED))
+
+    def test_states_are_one_read_only_array(self):
+        traj = Trajectory(np.array([0.0, 1.0]), (EXCITED, GROUND))
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (2, 2, 2)
+        assert not traj.states.flags.writeable
+        with pytest.raises(ValueError):
+            traj.states[0, 0, 0] = 0.5
+
+    def test_caller_array_stays_writable(self):
+        states = np.stack([EXCITED, GROUND])
+        traj = Trajectory(np.array([0.0, 1.0]), states)
+        assert states.flags.writeable
+        assert not traj.states.flags.writeable
+        assert np.shares_memory(traj.states, states)
 
 
 class TestPredictiveRhs:
@@ -399,13 +414,14 @@ class TestRecordedStateGuards:
         assert final.tobytes() == rho.tobytes()
 
 
-def _drifting_block(*columns: tuple[np.ndarray, np.ndarray]) -> list[Trajectory]:
-    """_evolve on (start, rate) columns that move in a straight line, recorded
-    at times 0, 1, 2 and 3, with every guard on."""
-    x0 = np.stack([start.reshape(-1) for start, _ in columns], axis=1).astype(complex)
+def _drifting_block(*columns: tuple[np.ndarray, np.ndarray]) -> Trajectory:
+    """_evolve on a stack of (start, rate) operators that move in a straight
+    line, recorded at times 0, 1, 2 and 3, with every guard on.  The rate is
+    given in the integrator's layout, one flattened operator per column."""
+    ops = np.stack([start for start, _ in columns]).astype(complex)
     rate = np.stack([slope.reshape(-1) for _, slope in columns], axis=1).astype(complex)
     model = two_level_decay_model(1.0)
-    return dynamics._evolve(model, lambda v: rate, x0, 3.0, IntegratorConfig(1, 1), check_trace=True, linear=False)
+    return dynamics._evolve(model, lambda v: rate, ops, 3.0, IntegratorConfig(1, 1), check_trace=True, linear=False)
 
 
 MIXED = np.diag([0.5, 0.5])
@@ -441,12 +457,12 @@ class TestBlockGuardOrder:
         assert str(err.value) == "hermiticity drift 1.400e-10 exceeds 1.0e-10 * scale at time 2"
 
     def test_passing_block_gives_views_of_one_guarded_stack(self):
-        runs = _drifting_block((MIXED, np.zeros((2, 2))), (PURE, 0.1 * EIG_DOWN))
-        assert [len(run) for run in runs] == [4, 4]
-        base = runs[0].states[0].base
-        assert base is not None and base.shape == (4, 2, 2, 2)
-        assert all(state.base is base for run in runs for state in run.states)
-        np.testing.assert_allclose(runs[1].final, PURE + 0.3 * EIG_DOWN, rtol=0, atol=1e-15)
+        run = _drifting_block((MIXED, np.zeros((2, 2))), (PURE, 0.1 * EIG_DOWN))
+        assert len(run) == 4
+        assert run.states.shape == (4, 2, 2, 2)
+        assert not run.states.flags.writeable
+        assert np.shares_memory(run.final, run.states)
+        np.testing.assert_allclose(run.final[1], PURE + 0.3 * EIG_DOWN, rtol=0, atol=1e-15)
 
     def test_failing_initial_operator_is_an_input_error(self):
         with pytest.raises(ValueError, match=r"^initial operator: eigenvalue -5\.000e-07 below -1\.0e-07$") as err:
@@ -577,15 +593,28 @@ class TestLinearStepMatrix:
         model = random_model(rng, dim=3)
         config = IntegratorConfig(400, 40)
         elements = [random_density(rng, 3) for _ in range(3)]
-        block = np.stack([el.reshape(-1) for el in elements], axis=1)
         batched = dynamics._evolve(
-            model, dynamics._linear_rhs(model, backward=True), block, 0.8, config, check_trace=False
+            model, dynamics._linear_rhs(model, backward=True), np.stack(elements), 0.8, config, check_trace=False
         )
-        for element, traj in zip(elements, batched):
+        for k, element in enumerate(elements):
             single = evolve_pom_backward(model, element, 0.8, config)
-            np.testing.assert_array_equal(traj.times, single.times)
-            for a, b in zip(traj.states, single.states):
+            np.testing.assert_array_equal(batched.times, single.times)
+            for a, b in zip(batched.states[:, k], single.states):
                 assert np.max(np.abs(a - b)) <= 1e-14
+
+
+class TestEvolveShape:
+    @pytest.mark.parametrize("n", [None, 1, 3])
+    def test_one_trajectory_shaped_like_its_input(self, n):
+        # 0.5 at 100 steps per unit time, every 10th recorded: 6 records.
+        rng = np.random.default_rng(49)
+        model = random_model(rng, dim=3)
+        ops = random_density(rng, 3) if n is None else np.stack([random_density(rng, 3) for _ in range(n)])
+        rhs = dynamics._linear_rhs(model, backward=False)
+        traj = dynamics._evolve(model, rhs, ops, 0.5, IntegratorConfig(100, 10), check_trace=True)
+        assert traj.states.shape == (6, *ops.shape)
+        assert not traj.states.flags.writeable
+        np.testing.assert_array_equal(traj.states[0], symmetrize(ops))
 
 
 def _refuse_to_build(model):

@@ -5,6 +5,7 @@ import pytest
 
 from retrolind import (
     DensityOperator,
+    IntegrationError,
     IntegratorConfig,
     Pom,
     PreparationEnsemble,
@@ -21,7 +22,7 @@ from retrolind import (
     trace,
     two_level_decay_model,
 )
-from retrolind import dynamics
+from retrolind import dynamics, inference
 from retrolind.atom import analytic_preparation_probability, demo_scenario
 
 from scenario_factory import random_density, random_model, random_pom_elements, random_scenario
@@ -54,6 +55,10 @@ class TestProbabilityTable:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             ProbabilityTable(("a", "b"), np.array([0.3, 0.3]))
+
+    def test_bad_total_reason_is_a_plain_number(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
+            ProbabilityTable(("a", "b"), [0.5, 0.6])
 
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ValueError, match="one-to-one"):
@@ -258,6 +263,48 @@ class TestCollapseTimeSweep:
                 rho_t = evolve_predictive(model, scenario.ensemble.states[i], t - scenario.t_p, config).final
                 pi_t = evolve_pom_backward(model, scenario.pom.elements[j], scenario.t_m - t, config).final
                 assert abs(value - trace(rho_t @ pi_t).real) <= 1e-10
+
+
+class TestOutcomePairing:
+    def test_raw_sum_reason_is_a_plain_number(self):
+        states = np.array([EXCITED])
+        elements = np.array([(1.0 + 1e-6) * EXCITED, GROUND])
+        with pytest.raises(IntegrationError, match=r"^raw outcome probabilities sum to 1\.000001, off beyond 1\.0e-07$"):
+            inference._outcome_probs(states, elements)
+
+    def test_first_failing_state_raises(self):
+        # EXCITED pairs to a sum off 1, GROUND to a negative probability.
+        elements = np.array([(1.0 + 1e-6) * EXCITED - 1e-3 * GROUND, GROUND])
+        with pytest.raises(IntegrationError, match="sum to 1.000001"):
+            inference._outcome_probs(np.array([EXCITED, GROUND]), elements)
+        with pytest.raises(IntegrationError, match="outcome probability -1.000e-03 is more negative"):
+            inference._outcome_probs(np.array([GROUND, EXCITED]), elements)
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_broadcast_pairings_match_the_per_pair_loop_bit_for_bit(self, dim):
+        # Three preparations and three outcomes; at dim 9 a trace sums more than 8 entries.
+        rng = np.random.default_rng(53)
+        ensemble = PreparationEnsemble(
+            (0.2, 0.3, 0.5), tuple(DensityOperator(random_density(rng, dim)) for _ in range(3)), ("a", "b", "c")
+        )
+        pom = Pom(tuple(random_pom_elements(rng, dim, 3)), ("x", "y", "z"))
+        scenario = Scenario(random_model(rng, dim=dim), ensemble, pom, 0.0, 0.4, IntegratorConfig(200, 20))
+        states = inference._forward_states(scenario, range(3), 0.25)
+        elements = inference._backward_elements(scenario, range(3), 0.25)
+        for row, rho in zip(inference._outcome_probs(states, elements), states):
+            raw = np.array([trace(rho @ pi).real for pi in elements])
+            assert row.tobytes() == (raw / raw.sum()).tobytes()
+
+        (element,) = inference._backward_elements(scenario, [1], 0.0)
+        rho_retr = normalize_to_retrodictive(element).op
+        raw = np.array([trace(rho_retr @ lam).real for lam in preparation_operators(ensemble, scenario.model, 0.0)])
+        assert retrodict_preparation_probs(scenario, 1).probs.tobytes() == (raw / raw.sum()).tobytes()
+
+        segments = np.diff(np.linspace(0.0, 0.4, 5))
+        forward = inference._chain(scenario, ensemble.states[0].op, segments, backward=False)
+        backward = inference._chain(scenario, pom.elements[2], segments[::-1], backward=True)[::-1]
+        expected = [trace(rho @ pi).real for rho, pi in zip(forward, backward)]
+        assert [p for _, p in collapse_time_sweep(scenario, 0, 2, 5)] == expected
 
 
 def _refuse_to_build(model):

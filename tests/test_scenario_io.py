@@ -249,3 +249,63 @@ class TestWriteTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0] == "# time column: tau = t_m - t (premeasurement time)"
+
+
+def _per_entry_csv(traj, time_description: str) -> str:
+    """The trajectory CSV as formatted one entry at a time, with the unpadded
+    header names that the writer keeps for dim <= 10."""
+    dim = traj.states[0].shape[0]
+    header = ["time"]
+    for r in range(dim):
+        for c in range(dim):
+            header += [f"re_{r}{c}", f"im_{r}{c}"]
+    lines = [f"# time column: {time_description}", ",".join(header)]
+    for t, state in zip(traj.times, traj.states):
+        row = [f"{t:.12e}"]
+        for z in state.reshape(-1):
+            row += [f"{z.real:.12e}", f"{z.imag:.12e}"]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsvBytes:
+    def test_awkward_values_match_per_entry_formatting(self, tmp_path):
+        from retrolind import Trajectory
+
+        awkward = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.2345678901235, 1.2345678901245]
+        awkward += [0.99999999999995, 9.9999999999999995e-1, -9.9999999999999995e-1, 1.0 / 3.0, -2.0 / 3.0]
+        rng = np.random.default_rng(51)
+        values = np.concatenate([awkward, rng.standard_normal(10) * 10.0 ** rng.integers(-8, 8, 10)])
+        traj = Trajectory(np.array([0.0, 1.0 / 3.0, 1.0]), values.view(complex).reshape(3, 2, 2))
+        path = tmp_path / "awkward.csv"
+        write_trajectory_csv(path, traj, "tau = t_m - t (premeasurement time)")
+        assert path.read_bytes() == _per_entry_csv(traj, "tau = t_m - t (premeasurement time)").encode()
+
+    def test_evolved_trajectory_matches_per_entry_formatting(self, tmp_path):
+        from retrolind import DensityOperator
+
+        rng = np.random.default_rng(52)
+        model = random_model(rng, dim=3)
+        traj = evolve_predictive(model, DensityOperator(random_density(rng, 3)), 0.5, IntegratorConfig(100, 20))
+        path = tmp_path / "evolved.csv"
+        write_trajectory_csv(path, traj, "t - t_p (laboratory time since preparation)")
+        assert path.read_bytes() == _per_entry_csv(traj, "t - t_p (laboratory time since preparation)").encode()
+
+    def test_dim12_header_names_are_distinct(self, tmp_path):
+        from retrolind import Trajectory
+
+        path = tmp_path / "dim12.csv"
+        write_trajectory_csv(path, Trajectory(np.array([0.0]), (np.eye(12, dtype=complex),)), "t")
+        header = path.read_text().splitlines()[1].split(",")
+        assert len(set(header)) == len(header) == 1 + 2 * 144
+        assert {"re_0000", "re_0110", "im_0110", "re_1100", "im_1111"} <= set(header)
+
+    def test_dim3_header_is_unpadded(self, tmp_path):
+        from retrolind import Trajectory
+
+        traj = Trajectory(np.array([0.0]), (np.eye(3, dtype=complex),))
+        path = tmp_path / "dim3.csv"
+        write_trajectory_csv(path, traj, "t")
+        header = path.read_text().splitlines()[1]
+        assert header == _per_entry_csv(traj, "t").splitlines()[1]
+        assert header.endswith(",re_21,im_21,re_22,im_22")
