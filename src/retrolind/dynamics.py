@@ -30,8 +30,11 @@ transpose.  The two linear modes form the RK4 step matrix
 S = sum_{k<=4} (hG)^k / k! and then its power J = S^r, with r the record
 stride, so one product x <- x + (J - I) x carries any number of operators,
 as the columns of one block, from one recorded state to the next.  The
-retrodictive mode steps stage by stage through its nonlinear right-hand
-side.
+model also holds these step plans, S - I and each J - I, keyed on the
+direction, the exact step size h and the stride, within one generator's
+bytes (MAX_GENERATOR_BYTES), so a repeated integration builds neither.
+The retrodictive mode steps stage by stage through its nonlinear
+right-hand side.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from typing import Callable
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .operators import dagger, hermitian_deviation, min_eigenvalue, scale_of, symmetrize, trace
-from .tolerances import HERMITICITY_STEP_TOL, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
+from .operators import dagger, hermitian_deviation, scale_of, symmetrize, trace
+from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL
+from .tolerances import TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
@@ -78,25 +82,27 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Recorded states over the evolution's own time variable.
 
-    times start at 0 and increase strictly.  states is one read-only array,
-    one record per time along its first axis: states[0] is the initial
-    operator (or stack) and states[-1] the solution at the full duration.
-    A sequence of arrays is stacked; an array is frozen through a view, so
-    the caller's own array stays writable.
+    times start at 0 and increase strictly.  states is one array, one
+    record per time along its first axis: states[0] is the initial operator
+    (or stack) and states[-1] the solution at the full duration.  Both are
+    read-only.  A sequence is stacked; an array is frozen through a view,
+    so the caller's own array stays writable.
     """
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        states = np.asarray(self.states).view()
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        if len(self.times) != len(states):
+        for name in ("times", "states"):
+            frozen = np.asarray(getattr(self, name)).view()
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
+        times = self.times
+        if len(times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if len(self.times) == 0 or self.times[0] != 0.0:
+        if len(times) == 0 or times[0] != 0.0:
             raise ValueError("trajectory must start at time 0")
-        if np.any(np.diff(self.times) <= 0.0):
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("trajectory times must increase strictly")
 
     @property
@@ -195,20 +201,44 @@ def _model_generator(model: LindbladModel) -> np.ndarray:
     return gen
 
 
-def _linear_rhs(model: LindbladModel, backward: bool) -> Callable[[np.ndarray], np.ndarray]:
+class _LinearRhs:
     """v -> G v with G the model's predictive generator, or its conjugate
     transpose (the pom_backward_generator) if backward.  G is looked up at
     the first call, so a zero-length integration, which never calls its
-    right-hand side, builds no d^4 generator."""
-    built: list[np.ndarray] = []
+    right-hand side, builds no d^4 generator, and neither does one whose
+    step plans the model already holds."""
 
-    def rhs(v: np.ndarray) -> np.ndarray:
-        if not built:
-            gen = _model_generator(model)
-            built.append(gen.conj().T if backward else gen)
-        return built[0] @ v
+    def __init__(self, model: LindbladModel, backward: bool):
+        self.model = model
+        self.backward = backward
+        self._gen: np.ndarray | None = None
 
-    return rhs
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if self._gen is None:
+            gen = _model_generator(self.model)
+            self._gen = gen.conj().T if self.backward else gen
+        return self._gen @ v
+
+    def plan(self, h: float, m: int, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """S^m - I for this map's RK4 step matrix S at step h: the one the
+        model holds, keyed on (backward, h, m), or else build(), which the
+        model then holds, read-only, next to its generator.  A new one that
+        would take the held bytes past MAX_GENERATOR_BYTES first drops all
+        those held, so a model holds at most one generator's worth."""
+        plans = self.model.__dict__.get("_plans")
+        if plans is None:
+            plans = {}
+            object.__setattr__(self.model, "_plans", plans)
+        key = (self.backward, h, m)
+        inc = plans.get(key)
+        if inc is None:
+            inc = build()
+            if sum(held.nbytes for held in plans.values()) + inc.nbytes > MAX_GENERATOR_BYTES:
+                plans.clear()
+            if inc.nbytes <= MAX_GENERATOR_BYTES:
+                inc.setflags(write=False)
+                plans[key] = inc
+        return inc
 
 
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
@@ -225,6 +255,7 @@ def rk4_integrate(
     duration: float,
     config: IntegratorConfig = _DEFAULT_CONFIG,
     linear: bool = False,
+    _plan: Callable[[float, int, Callable[[], np.ndarray]], np.ndarray] | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
@@ -243,7 +274,9 @@ def rk4_integrate(
     Finiteness is tested once per record; a record that is not finite is
     re-stepped from the previous one, one S at a time, which names the first
     non-finite step, or, where only the product with J overflowed, gives the
-    finite record.
+    finite record.  _plan(h, m, build), if given, returns S^m - I for this
+    rhs from a store that outlives the call (see _LinearRhs.plan), or
+    build(); the store must hold only increments of this rhs.
     """
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -257,8 +290,8 @@ def rk4_integrate(
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         if linear:
-            eye = np.eye(x.shape[0], dtype=np.complex128)
-            records = _linear_records(_rk4_step(rhs, eye, h) - eye, states[0], n_steps, config.record_every)
+            increment = _increments(rhs, h, x.shape[0], _plan)
+            records = _linear_records(increment, states[0], n_steps, config.record_every)
         else:
             records = _staged_records(rhs, states[0], h, n_steps, config.record_every)
         for r, state in enumerate(records, 1):
@@ -294,23 +327,90 @@ def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
         base = 2.0 * base + base @ base
 
 
-def _linear_records(inc: np.ndarray, x: np.ndarray, n_steps: int, record_every: int):
-    """The states at the same records, for the step matrix S = I + inc:
-    each record is reached from the last as x + (J - I) x with J = S^m."""
+def _increments(rhs, h: float, size: int, plan) -> Callable[[int], np.ndarray]:
+    """m -> S^m - I for the RK4 step matrix S of the linear map rhs at step
+    h.  S - I is one RK4 step on the identity less the identity, built at
+    most once per call, and S^m - I is formed from it by _power_increment;
+    plan(h, m, build), if given, may return either from an earlier call."""
+    built: list[np.ndarray] = []
+
+    def step() -> np.ndarray:
+        if not built:
+            eye = np.eye(size, dtype=np.complex128)
+            built.append(_rk4_step(rhs, eye, h) - eye)
+        return built[0]
+
+    def increment(m: int) -> np.ndarray:
+        build = step if m == 1 else lambda: _power_increment(increment(1), m)
+        return build() if plan is None else plan(h, m, build)
+
+    return increment
+
+
+def _linear_records(increment: Callable[[int], np.ndarray], x: np.ndarray, n_steps: int, record_every: int):
+    """The states at the same records, for the step matrix S with
+    increment(m) = S^m - I: each record is reached from the last as
+    x + (J - I) x with J = S^m."""
     k, stride = 0, 0
     while k < n_steps:
         m = min(record_every, n_steps - k)
         if m != stride:
-            jump, stride = _power_increment(inc, m), m
+            jump, stride = increment(m), m
         nxt = x + jump @ x
         if not np.isfinite(nxt).all():
-            nxt = x
+            inc, nxt = increment(1), x
             for i in range(k + 1, k + m + 1):
                 nxt = nxt + inc @ nxt
                 if not np.isfinite(nxt).all():
                     raise _non_finite(i, n_steps)
         k, x = k + m, nxt
         yield x
+
+
+def _records(rhs, ops, duration: float, config: IntegratorConfig, linear: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The times and the unguarded records of one run of ops, one (d, d)
+    operator or an (n, d, d) stack of them, shaped (records, *ops.shape).
+    rhs acts on the layout chosen here alone: the row-major-flattened
+    operator, or those of the stack as (d^2, n) columns; a linear rhs is a
+    _LinearRhs, whose model holds the step plans."""
+    ops = np.asarray(ops)
+    x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
+    flat = rk4_integrate(rhs, x0, duration, config, linear=linear, _plan=rhs.plan if linear else None)
+    records = len(flat)
+    return flat.times, np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, *ops.shape)
+
+
+def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarray:
+    """The records of stack, shaped (records, ..., d, d) and recorded at
+    times, guarded in one call per check over all of them, and returned
+    symmetrized: the Hermiticity drift must be round-off, which symmetrizing
+    then absorbs; the trace (if check_trace) and positivity must hold.  The
+    records are finite (the integrator checks each one it takes, and the
+    initial operators are validated inputs), so the symmetrized stack goes
+    to the eigensolver as it is.
+
+    The earliest failing record, and in it the lowest failing operator,
+    raises its first failing check in that order; at time 0 no step has been
+    taken, so a failure there is the initial operator's and raises ValueError."""
+    drift = hermitian_deviation(stack)
+    drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
+    stack = symmetrize(stack)
+    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
+    low = np.linalg.eigvalsh(stack)[..., 0]
+    failed = drifted | (trace_dev > TRACE_DRIFT_TOL) | (low < -POSITIVITY_DRIFT_TOL)
+    if failed.any():
+        at = np.unravel_index(np.argmax(failed), failed.shape)
+        if drifted[at]:
+            what = f"hermiticity drift {drift[at]:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
+        elif trace_dev[at] > TRACE_DRIFT_TOL:
+            what = f"trace off by {trace_dev[at]:.3e}"
+        else:
+            what = f"eigenvalue {low[at]:.3e} below -{POSITIVITY_DRIFT_TOL:.1e}"
+        if at[0] == 0:
+            raise ValueError(f"initial operator: {what}")
+        hint = "" if drifted[at] else "; step size too coarse"
+        raise IntegrationError(f"{what} at time {times[at[0]]:g}{hint}")
+    return stack
 
 
 def _evolve(
@@ -323,41 +423,11 @@ def _evolve(
     linear: bool = True,
 ) -> Trajectory:
     """Integrate ops, one Hermitian (d, d) operator or an (n, d, d) stack of
-    them, and guard every recorded state, one call per check over the stack
-    of all of them: the Hermiticity drift must be round-off, which
-    symmetrizing then absorbs; the trace (if check_trace) and positivity must
-    hold.  Returns one trajectory whose states are that guarded stack, shaped
-    (records, *ops.shape).  rhs acts on the layout chosen here alone: the
-    row-major-flattened operator, or those of the stack as (d^2, n) columns.
-
-    The earliest failing record, and in it the lowest failing operator,
-    raises its first failing check in that order; at time 0 no step has been
-    taken, so a failure there is the initial operator's and raises ValueError."""
-    ops = np.asarray(ops)
-    x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
-    flat = rk4_integrate(rhs, x0, duration, config, linear=linear)
-    times, records = flat.times, len(flat)
-    stack = np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, -1, *ops.shape[-2:])
-    del flat
-    drift = hermitian_deviation(stack)
-    drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
-    stack = symmetrize(stack)
-    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
-    low = min_eigenvalue(stack)
-    failed = drifted | (trace_dev > TRACE_DRIFT_TOL) | (low < -POSITIVITY_DRIFT_TOL)
-    if failed.any():
-        r, c = np.unravel_index(np.argmax(failed), failed.shape)
-        if drifted[r, c]:
-            what = f"hermiticity drift {drift[r, c]:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
-        elif trace_dev[r, c] > TRACE_DRIFT_TOL:
-            what = f"trace off by {trace_dev[r, c]:.3e}"
-        else:
-            what = f"eigenvalue {low[r, c]:.3e} below -{POSITIVITY_DRIFT_TOL:.1e}"
-        if r == 0:
-            raise ValueError(f"initial operator: {what}")
-        hint = "" if drifted[r, c] else "; step size too coarse"
-        raise IntegrationError(f"{what} at time {times[r]:g}{hint}")
-    return Trajectory(times, stack.reshape(records, *ops.shape))
+    them (see _records), and guard every recorded state (see _guard).
+    Returns one trajectory whose states are that guarded stack, shaped
+    (records, *ops.shape)."""
+    times, stack = _records(rhs, ops, duration, config, linear)
+    return Trajectory(times, _guard(times, stack, check_trace))
 
 
 def evolve_predictive(
@@ -368,7 +438,7 @@ def evolve_predictive(
 ) -> Trajectory:
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
     _check_model_operator(model, rho_p.op)
-    rhs = _linear_rhs(model, backward=False)
+    rhs = _LinearRhs(model, backward=False)
     return _evolve(model, rhs, rho_p.op, duration, config, check_trace=True)
 
 
@@ -385,7 +455,7 @@ def evolve_pom_backward(
     """
     pi_m = _check_model_operator(model, pi_m)
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
-    rhs = _linear_rhs(model, backward=True)
+    rhs = _LinearRhs(model, backward=True)
     return _evolve(model, rhs, pi_m, duration, config, check_trace=False)
 
 
@@ -401,7 +471,7 @@ def evolve_retrodictive(
     the nonlinear term keeps every recorded state unit-trace.
     """
     _check_model_operator(model, rho_m.op)
-    linear = _linear_rhs(model, backward=True)
+    linear = _LinearRhs(model, backward=True)
     kvec = _jump_commutator_sum(model).T.reshape(-1)
 
     def rhs(v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, _check_model_operator, _evolve, _linear_rhs
+from .dynamics import IntegrationError, _check_model_operator, _evolve, _guard, _LinearRhs, _records
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -28,7 +28,7 @@ from .model import (
     PreparationEnsemble,
     Scenario,
 )
-from .operators import as_operator, trace
+from .operators import as_operator, symmetrize, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
 from .tolerances import RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
 
@@ -131,7 +131,7 @@ def preparation_operators(
 def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> np.ndarray:
     """Final states, one per operator of ops, of one batched run over duration, by
     the backward (outcome-operator) equation or the predictive one, whose states keep unit trace."""
-    return _evolve(model, _linear_rhs(model, backward), ops, duration, config, check_trace=not backward).final
+    return _evolve(model, _LinearRhs(model, backward), ops, duration, config, check_trace=not backward).final
 
 
 # The helpers below take Scenario-owned operators, validated when the
@@ -152,14 +152,26 @@ def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float
 
 def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> np.ndarray:
     """op at the start of the first segment and at the end of each, carried
-    from segment to segment by one generator."""
-    rhs = _linear_rhs(scenario.model, backward)
-    points = []
+    from segment to segment by one generator, each segment from the last
+    one's symmetrized final.  The records of all segments are guarded in one
+    pass, at their times along the chain (t - t_p forward, t_m - t backward);
+    a segment that stops being finite first has the records before it
+    guarded, so the earliest failure is the one raised."""
+    rhs, check_trace = _LinearRhs(scenario.model, backward), not backward
+    times, records, ends = [np.zeros(1)], [np.asarray(op, dtype=np.complex128)[None]], [0]
+    start = 0.0
     for segment in segments:
-        run = _evolve(scenario.model, rhs, op, float(segment), scenario.integrator, check_trace=not backward)
-        points.append(run.states[0])
-        op = run.final
-    return np.array([*points, op])
+        try:
+            run_times, run = _records(rhs, op, float(segment), scenario.integrator)
+        except IntegrationError:
+            _guard(np.concatenate(times), np.concatenate(records), check_trace)
+            raise
+        times.append(start + run_times[1:])
+        records.append(run[1:])
+        ends.append(ends[-1] + len(run) - 1)
+        start += segment
+        op = symmetrize(run[-1])
+    return _guard(np.concatenate(times), np.concatenate(records), check_trace)[ends]
 
 
 def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> float:

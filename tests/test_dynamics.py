@@ -60,11 +60,18 @@ class TestTrajectory:
             traj.states[0, 0, 0] = 0.5
 
     def test_caller_array_stays_writable(self):
-        states = np.stack([EXCITED, GROUND])
-        traj = Trajectory(np.array([0.0, 1.0]), states)
-        assert states.flags.writeable
-        assert not traj.states.flags.writeable
-        assert np.shares_memory(traj.states, states)
+        times, states = np.array([0.0, 1.0]), np.stack([EXCITED, GROUND])
+        traj = Trajectory(times, states)
+        for mine, frozen in ((times, traj.times), (states, traj.states)):
+            assert mine.flags.writeable
+            assert not frozen.flags.writeable
+            assert np.shares_memory(frozen, mine)
+
+    def test_times_of_an_evolution_are_read_only(self):
+        traj = evolve_pom_backward(two_level_decay_model(1.0), np.eye(2), 0.05)
+        with pytest.raises(ValueError):
+            traj.times[1] = -1.0
+        assert np.all(np.diff(traj.times) > 0.0)
 
 
 class TestPredictiveRhs:
@@ -594,7 +601,7 @@ class TestLinearStepMatrix:
         config = IntegratorConfig(400, 40)
         elements = [random_density(rng, 3) for _ in range(3)]
         batched = dynamics._evolve(
-            model, dynamics._linear_rhs(model, backward=True), np.stack(elements), 0.8, config, check_trace=False
+            model, dynamics._LinearRhs(model, backward=True), np.stack(elements), 0.8, config, check_trace=False
         )
         for k, element in enumerate(elements):
             single = evolve_pom_backward(model, element, 0.8, config)
@@ -610,7 +617,7 @@ class TestEvolveShape:
         rng = np.random.default_rng(49)
         model = random_model(rng, dim=3)
         ops = random_density(rng, 3) if n is None else np.stack([random_density(rng, 3) for _ in range(n)])
-        rhs = dynamics._linear_rhs(model, backward=False)
+        rhs = dynamics._LinearRhs(model, backward=False)
         traj = dynamics._evolve(model, rhs, ops, 0.5, IntegratorConfig(100, 10), check_trace=True)
         assert traj.states.shape == (6, *ops.shape)
         assert not traj.states.flags.writeable
@@ -633,3 +640,43 @@ class TestZeroLengthEvolution:
         traj = _evolve_mode(mode, model, rho, 0.0)
         assert len(traj) == 1
         assert traj.final.tobytes() == rho.tobytes()
+
+
+def _held_bytes(model) -> int:
+    return sum(inc.nbytes for inc in vars(model).get("_plans", {}).values())
+
+
+class TestHeldStepPlans:
+    """The step plans S^m - I that a model holds for its linear modes."""
+
+    @pytest.mark.parametrize("mode", ["predictive", "pom-backward"])
+    def test_held_plans_give_the_results_of_a_fresh_model_byte_for_byte(self, mode, monkeypatch):
+        rng = np.random.default_rng(60)
+        model = random_model(rng, dim=3)
+        rho = random_density(rng, 3)
+        durations = (0.5, 0.3, 0.5, 0.30000000000000004, 0.3)
+        held = [_evolve_mode(mode, model, rho, t) for t in durations]
+        builds, step = [], dynamics._rk4_step
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or step(*args))
+        again = [_evolve_mode(mode, model, rho, t) for t in durations]
+        assert builds == []
+        for t, first, second in zip(durations, held, again):
+            fresh = _evolve_mode(mode, LindbladModel(model.dim, model.hamiltonian, model.jump_ops), rho, t)
+            for run in (first, second):
+                assert run.times.tobytes() == fresh.times.tobytes()
+                assert run.states.tobytes() == fresh.states.tobytes()
+
+    @pytest.mark.parametrize("plans", [0.5, 1, 2.5])
+    def test_held_plan_bytes_stay_within_the_generator_budget(self, plans, monkeypatch):
+        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
+        budget = plans * 9 * 9 * 16
+        monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", budget)
+        rng = np.random.default_rng(61)
+        model = random_model(rng, dim=3)
+        rho = random_density(rng, 3)
+        for t in (0.5, 0.3, 0.55, 0.5, 0.3, 0.25):
+            for mode in ("predictive", "pom-backward"):
+                run = _evolve_mode(mode, model, rho, t)
+                assert 0 < _held_bytes(model) <= budget if plans >= 1 else _held_bytes(model) == 0
+                fresh = _evolve_mode(mode, LindbladModel(model.dim, model.hamiltonian, model.jump_ops), rho, t)
+                assert run.states.tobytes() == fresh.states.tobytes()

@@ -7,6 +7,7 @@ from retrolind import (
     DensityOperator,
     IntegrationError,
     IntegratorConfig,
+    LindbladModel,
     Pom,
     PreparationEnsemble,
     ProbabilityTable,
@@ -263,6 +264,139 @@ class TestCollapseTimeSweep:
                 rho_t = evolve_predictive(model, scenario.ensemble.states[i], t - scenario.t_p, config).final
                 pi_t = evolve_pom_backward(model, scenario.pom.elements[j], scenario.t_m - t, config).final
                 assert abs(value - trace(rho_t @ pi_t).real) <= 1e-10
+
+
+def _per_segment_chain(scenario, op, segments, backward):
+    """The chain as one guarded _evolve per segment, each from the last one's final."""
+    rhs = dynamics._LinearRhs(scenario.model, backward)
+    points = []
+    for segment in segments:
+        run = dynamics._evolve(scenario.model, rhs, op, float(segment), scenario.integrator, check_trace=not backward)
+        points.append(run.states[0])
+        op = run.final
+    return np.array([*points, op])
+
+
+def _closed_qubit(t_p, t_m):
+    """H = 0 and no jumps, so only a patched generator moves anything; the
+    mixed preparation and the "+" outcome."""
+    ensemble = PreparationEnsemble((0.5, 0.5), (DensityOperator(np.eye(2) / 2.0), DensityOperator(EXCITED)), ("o", "e"))
+    pom = Pom((PLUS, np.eye(2) - PLUS), ("+", "-"))
+    return Scenario(LindbladModel(2, np.zeros((2, 2)), ()), ensemble, pom, t_p, t_m, IntegratorConfig(400, 40))
+
+
+def _anti_dissipator(rate, pauli):
+    """The generator of X -> rate (X - P X P): trace-preserving and
+    Hermiticity-preserving, but not positive."""
+    return rate * (np.eye(4) - np.kron(pauli, pauli))
+
+
+class TestCollapseTimeChains:
+    """Each direction of a sweep is one chain of segments, guarded in one pass."""
+
+    def test_values_match_a_per_segment_evolve_reference_bit_for_bit(self):
+        # A window of 0.3 in 10 segments: ulp-different segments take 30 or 31 steps.
+        rng = np.random.default_rng(63)
+        for _ in range(4):
+            base = random_scenario(rng)
+            scenario = Scenario(base.model, base.ensemble, base.pom, 0.0, 0.3, IntegratorConfig(1000, 10))
+            for i, j in ((0, 0), (1, len(scenario.pom) - 1)):
+                times = np.linspace(0.0, 0.3, 11)
+                segments = np.diff(times)
+                forward = _per_segment_chain(scenario, scenario.ensemble.states[i].op, segments, backward=False)
+                backward = _per_segment_chain(scenario, scenario.pom.elements[j], segments[::-1], backward=True)
+                expected = trace(forward @ backward[::-1]).real.tolist()
+                assert [p for _, p in collapse_time_sweep(scenario, i, j, 11)] == expected
+
+    def test_one_eigensolve_per_chain_direction(self, monkeypatch):
+        scenario = demo_scenario(1.0, 1.0)
+        blocks, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: blocks.append(a.shape) or eigvalsh(a))
+        collapse_time_sweep(scenario, "+", "-", 5)
+        # 4 segments of 250 steps, each recorded every 10th step after the start.
+        assert blocks == [(101, 2, 2), (101, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "drift, failure",
+        [
+            # Forward, the trace grows as exp(eps t): it passes 1e-8 at t - t_p = 0.55.
+            (1e-8 / 0.55 * np.eye(4), r"trace off by 1\.09\de-08"),
+            # Backward, eps (X - Z X Z) takes an eigenvalue of the "+" outcome to
+            # about -eps (t_m - t): below -1e-7 after 0.55; the mixed state stays put.
+            (_anti_dissipator(1e-7 / 0.55, np.diag([1.0, -1.0])), r"eigenvalue -1\.09\de-07 below -1\.0e-07"),
+        ],
+    )
+    def test_guard_failure_names_the_time_along_the_chain(self, drift, failure, monkeypatch):
+        # Segments of 0.25 recorded every 0.1: the first record past 0.55 is
+        # 0.6 along the chain, 0.1 into the third segment, at t = 1.6 or 1.4.
+        monkeypatch.setattr(dynamics, "predictive_generator", lambda m: drift.astype(complex))
+        with pytest.raises(IntegrationError, match=f"^{failure} at time 0\\.6; step size too coarse$"):
+            collapse_time_sweep(_closed_qubit(1.0, 2.0), "o", "+", 5)
+
+    def test_an_earlier_guard_failure_wins_over_a_later_overflow(self, monkeypatch):
+        # 100 (X - sigma_x X sigma_x) takes an eigenvalue of the excited
+        # state to (1 - exp(200 t)) / 2 at once; the state overflows near
+        # t = 3.5, in the second of the segments of 2.5.
+        drift = _anti_dissipator(100.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        monkeypatch.setattr(dynamics, "predictive_generator", lambda m: drift.astype(complex))
+        with pytest.raises(IntegrationError, match=r" at time 0\.1; step size too coarse$"):
+            collapse_time_sweep(_closed_qubit(0.0, 10.0), "e", "+", 5)
+
+
+def _queries_and_sweep(scenario):
+    return [
+        retrodict_preparation_probs(scenario, 0).probs.tobytes(),
+        bayes_from_predictive(scenario, 1).probs.tobytes(),
+        collapse_time_sweep(scenario, 0, 1, 11),
+    ]
+
+
+def _fresh(scenario):
+    """The same scenario on a model of its own, which holds no step plan yet."""
+    model = LindbladModel(scenario.model.dim, scenario.model.hamiltonian, scenario.model.jump_ops)
+    return Scenario(model, scenario.ensemble, scenario.pom, scenario.t_p, scenario.t_m, scenario.integrator)
+
+
+class TestHeldStepPlans:
+    def _scenario(self):
+        base = random_scenario(np.random.default_rng(64), dim=3)
+        return Scenario(base.model, base.ensemble, base.pom, 0.0, 0.3, IntegratorConfig(1000, 10))
+
+    def test_a_repeated_query_or_sweep_builds_no_step_plan(self, monkeypatch):
+        builds = {"identity steps": 0, "powers": 0}
+        step, power = dynamics._rk4_step, dynamics._power_increment
+
+        def counting_step(*args):
+            builds["identity steps"] += 1
+            return step(*args)
+
+        def counting_power(*args):
+            builds["powers"] += 1
+            return power(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_step", counting_step)
+        monkeypatch.setattr(dynamics, "_power_increment", counting_power)
+        scenario = self._scenario()
+        first = _queries_and_sweep(scenario)
+        assert builds["identity steps"] > 0 and builds["powers"] > 0
+        builds.update({"identity steps": 0, "powers": 0})
+        collapse_time_sweep(_fresh(scenario), 0, 1, 11)
+        # Two chains of 10 segments: one plan per distinct step size, not per segment.
+        assert 2 <= builds["identity steps"] < 10
+        builds.update({"identity steps": 0, "powers": 0})
+        assert _queries_and_sweep(scenario) == first
+        assert builds == {"identity steps": 0, "powers": 0}
+
+    @pytest.mark.parametrize("plans", [None, 0.5, 1, 2.5])
+    def test_held_plans_give_the_results_of_a_fresh_model_byte_for_byte(self, plans, monkeypatch):
+        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
+        if plans is not None:
+            monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", plans * 9 * 9 * 16)
+        scenario = self._scenario()
+        for _ in range(2):
+            assert _queries_and_sweep(scenario) == _queries_and_sweep(_fresh(scenario))
+            held = sum(inc.nbytes for inc in vars(scenario.model)["_plans"].values())
+            assert held <= dynamics.MAX_GENERATOR_BYTES
 
 
 class TestOutcomePairing:
