@@ -32,9 +32,15 @@ stride, so one product x <- x + (J - I) x carries any number of operators,
 as the columns of one block, from one recorded state to the next.  The
 model also holds these step plans, S - I and each J - I, keyed on the
 direction, the exact step size h and the stride, within one generator's
-bytes (MAX_GENERATOR_BYTES), so a repeated integration builds neither.
-The retrodictive mode steps stage by stage through its nonlinear
-right-hand side.
+bytes (MAX_GENERATOR_BYTES) and MAX_HELD_PLANS of them, the least
+recently used dropped first, so a repeated integration builds neither.
+
+The retrodictive mode takes each RK4 step of its nonlinear right-hand side
+f(v) = G^dag v + 2 (k.v) v in the Krylov basis b_j = (h G^dag)^j v,
+j = 0..4, which spans every stage: four products with h G^dag, one with k
+for the scalars 2h k.b_j, the four stages as recurrences on at most five
+coefficients, then v' = v + sum_j alpha_j b_j.  It is the same RK4 step,
+with a different round-off from the stage-by-stage one.
 """
 
 from __future__ import annotations
@@ -47,8 +53,8 @@ import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
 from .operators import dagger, hermitian_deviation, scale_of, symmetrize, trace
-from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL
-from .tolerances import TRACE_DRIFT_TOL
+from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL
+from .tolerances import RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
@@ -224,20 +230,24 @@ class _LinearRhs:
         model holds, keyed on (backward, h, m), or else build(), which the
         model then holds, read-only, next to its generator.  A new one that
         would take the held bytes past MAX_GENERATOR_BYTES first drops all
-        those held, so a model holds at most one generator's worth."""
+        those held, so a model holds at most one generator's worth, and one
+        past MAX_HELD_PLANS drops the least recently used one."""
         plans = self.model.__dict__.get("_plans")
         if plans is None:
             plans = {}
             object.__setattr__(self.model, "_plans", plans)
         key = (self.backward, h, m)
-        inc = plans.get(key)
+        inc = plans.pop(key, None)
         if inc is None:
             inc = build()
             if sum(held.nbytes for held in plans.values()) + inc.nbytes > MAX_GENERATOR_BYTES:
                 plans.clear()
-            if inc.nbytes <= MAX_GENERATOR_BYTES:
-                inc.setflags(write=False)
-                plans[key] = inc
+            if inc.nbytes > MAX_GENERATOR_BYTES:
+                return inc
+            inc.setflags(write=False)
+            if len(plans) >= MAX_HELD_PLANS:
+                del plans[next(iter(plans))]
+        plans[key] = inc  # insertion order is the order of last use
         return inc
 
 
@@ -256,6 +266,7 @@ def rk4_integrate(
     config: IntegratorConfig = _DEFAULT_CONFIG,
     linear: bool = False,
     _plan: Callable[[float, int, Callable[[], np.ndarray]], np.ndarray] | None = None,
+    _step: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
@@ -276,7 +287,9 @@ def rk4_integrate(
     non-finite step, or, where only the product with J overflowed, gives the
     finite record.  _plan(h, m, build), if given, returns S^m - I for this
     rhs from a store that outlives the call (see _LinearRhs.plan), or
-    build(); the store must hold only increments of this rhs.
+    build(); the store must hold only increments of this rhs.  _step(h), if
+    given, returns one RK4 step x -> x' of rhs at step h (see
+    _krylov_steps), taken in place of the stage-by-stage one.
     """
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -293,7 +306,8 @@ def rk4_integrate(
             increment = _increments(rhs, h, x.shape[0], _plan)
             records = _linear_records(increment, states[0], n_steps, config.record_every)
         else:
-            records = _staged_records(rhs, states[0], h, n_steps, config.record_every)
+            step = (lambda v: _rk4_step(rhs, v, h)) if _step is None else _step(h)
+            records = _staged_records(step, states[0], n_steps, config.record_every)
         for r, state in enumerate(records, 1):
             states[r] = state
     return Trajectory(steps * h, states)
@@ -303,14 +317,67 @@ def _non_finite(k: int, n_steps: int) -> IntegrationError:
     return IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
 
 
-def _staged_records(rhs, x: np.ndarray, h: float, n_steps: int, record_every: int):
-    """The state at every record_every-th RK4 step of rhs and at the last."""
+def _staged_records(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_steps: int, record_every: int):
+    """The state at every record_every-th RK4 step and at the last."""
     for k in range(1, n_steps + 1):
-        x = _rk4_step(rhs, x, h)
+        x = step(x)
         if not np.isfinite(x).all():
             raise _non_finite(k, n_steps)
         if k % record_every == 0 or k == n_steps:
             yield x
+
+
+def _krylov_steps(model: LindbladModel, kvec: np.ndarray) -> Callable[[float], Callable[[np.ndarray], np.ndarray]]:
+    """h -> the RK4 step of v -> G^dag v + 2 (kvec.v) v at step h, with G the
+    model's predictive generator, taken in the basis b_j = (h G^dag)^j v,
+    j = 0..4.  Each stage input is v plus a combination of earlier stages,
+    so with s_j = 2h kvec.b_j a stage h f(sum_j c_j b_j) has the coefficients
+    of sum_j c_j b_{j+1} + (sum_j c_j s_j) sum_j c_j b_j: a polynomial in the
+    shift one degree higher, degree 4 after the fourth stage.  The step
+    returns v + sum_j alpha_j b_j, the 1 of v left out of alpha_0, so its
+    round-off is relative to the change, as in the stage-by-stage step.
+    h G^dag is formed once per call of the returned function, in place of a
+    conjugate copy; G itself is looked up there, so a run with no step
+    builds none."""
+
+    def at(h: float) -> Callable[[np.ndarray], np.ndarray]:
+        hg = _model_generator(model).T.conj()
+        hg *= h
+        kh = (2.0 * h) * kvec
+        basis = np.empty((5, len(kvec)), dtype=np.complex128)
+        b0, b1, b2, b3, b4 = basis
+        first4 = basis[:4]
+
+        def step(x: np.ndarray) -> np.ndarray:
+            b0[:] = x
+            np.dot(hg, b0, out=b1)
+            np.dot(hg, b1, out=b2)
+            np.dot(hg, b2, out=b3)
+            np.dot(hg, b3, out=b4)
+            s0, s1, s2, s3 = np.dot(first4, kh).tolist()
+            # The stage inputs v + k1/2, v + k2/2 and v + k3 as coefficients
+            # p, q and r; each d is 2h k.(stage input).  k1 = (s0, 1).
+            p0 = 1.0 + 0.5 * s0
+            d = s0 * p0 + 0.5 * s1
+            k20, k21, k22 = d * p0, p0 + 0.5 * d, 0.5
+            q0, q1, q2 = 1.0 + 0.5 * k20, 0.5 * k21, 0.5 * k22
+            d = s0 * q0 + s1 * q1 + s2 * q2
+            k30, k31, k32, k33 = d * q0, q0 + d * q1, q1 + d * q2, q2
+            r0, r1, r2, r3 = 1.0 + k30, k31, k32, k33
+            d = s0 * r0 + s1 * r1 + s2 * r2 + s3 * r3
+            k40, k41, k42, k43, k44 = d * r0, r0 + d * r1, r1 + d * r2, r2 + d * r3, r3
+            alpha = [
+                (s0 + 2.0 * (k20 + k30) + k40) / 6.0,
+                (1.0 + 2.0 * (k21 + k31) + k41) / 6.0,
+                (2.0 * (k22 + k32) + k42) / 6.0,
+                (2.0 * k33 + k43) / 6.0,
+                k44 / 6.0,
+            ]
+            return x + np.dot(alpha, basis)
+
+        return step
+
+    return at
 
 
 def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
@@ -367,15 +434,19 @@ def _linear_records(increment: Callable[[int], np.ndarray], x: np.ndarray, n_ste
         yield x
 
 
-def _records(rhs, ops, duration: float, config: IntegratorConfig, linear: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _records(
+    rhs, ops, duration: float, config: IntegratorConfig, linear: bool = True, step=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The times and the unguarded records of one run of ops, one (d, d)
     operator or an (n, d, d) stack of them, shaped (records, *ops.shape).
     rhs acts on the layout chosen here alone: the row-major-flattened
     operator, or those of the stack as (d^2, n) columns; a linear rhs is a
-    _LinearRhs, whose model holds the step plans."""
+    _LinearRhs, whose model holds the step plans.  step, if given, is
+    rk4_integrate's _step for a nonlinear rhs."""
     ops = np.asarray(ops)
     x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
-    flat = rk4_integrate(rhs, x0, duration, config, linear=linear, _plan=rhs.plan if linear else None)
+    plan = rhs.plan if linear else None
+    flat = rk4_integrate(rhs, x0, duration, config, linear=linear, _plan=plan, _step=step)
     records = len(flat)
     return flat.times, np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, *ops.shape)
 
@@ -421,12 +492,13 @@ def _evolve(
     config: IntegratorConfig,
     check_trace: bool,
     linear: bool = True,
+    step=None,
 ) -> Trajectory:
     """Integrate ops, one Hermitian (d, d) operator or an (n, d, d) stack of
     them (see _records), and guard every recorded state (see _guard).
     Returns one trajectory whose states are that guarded stack, shaped
     (records, *ops.shape)."""
-    times, stack = _records(rhs, ops, duration, config, linear)
+    times, stack = _records(rhs, ops, duration, config, linear, step)
     return Trajectory(times, _guard(times, stack, check_trace))
 
 
@@ -467,8 +539,9 @@ def evolve_retrodictive(
 ) -> Trajectory:
     """Evolve a retrodictive state backward from the measurement.
 
-    Same parameterization as evolve_pom_backward, but stepped stage by stage:
-    the nonlinear term keeps every recorded state unit-trace.
+    Same parameterization as evolve_pom_backward, but nonlinear: each RK4
+    step is taken in a Krylov basis (see _krylov_steps), and the nonlinear
+    term keeps every recorded state unit-trace.
     """
     _check_model_operator(model, rho_m.op)
     linear = _LinearRhs(model, backward=True)
@@ -477,4 +550,5 @@ def evolve_retrodictive(
     def rhs(v: np.ndarray) -> np.ndarray:
         return linear(v) + (2.0 * (kvec @ v)) * v
 
-    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True, linear=False)
+    steps = _krylov_steps(model, kvec)
+    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True, linear=False, step=steps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, _check_model_operator, _evolve, _guard, _LinearRhs, _records
+from .dynamics import IntegrationError, _check_model_operator, _guard, _LinearRhs, _records
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -131,7 +131,8 @@ def preparation_operators(
 def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> np.ndarray:
     """Final states, one per operator of ops, of one batched run over duration, by
     the backward (outcome-operator) equation or the predictive one, whose states keep unit trace."""
-    return _evolve(model, _LinearRhs(model, backward), ops, duration, config, check_trace=not backward).final
+    times, stack = _records(_LinearRhs(model, backward), ops, duration, config)
+    return _guard(times, stack, check_trace=not backward)[-1]
 
 
 # The helpers below take Scenario-owned operators, validated when the

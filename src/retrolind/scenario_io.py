@@ -27,6 +27,7 @@ width of dim - 1), then one row per state, 13 significant digits a value.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -287,7 +288,102 @@ def write_trajectory_csv(path: str | Path, trajectory: Trajectory, time_descript
     w = len(str(dim - 1))
     names = [f"{part}_{r:0{w}}{c:0{w}}" for r in range(dim) for c in range(dim) for part in ("re", "im")]
     pairs = np.ascontiguousarray(trajectory.states, dtype=np.complex128).reshape(len(trajectory), -1).view(float)
-    table = np.column_stack([trajectory.times, pairs]).tolist()
-    row = ",".join(["%.12e"] * (1 + len(names)))
-    lines = [f"# time column: {time_description}", ",".join(["time", *names]), *(row % tuple(x) for x in table)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([trajectory.times, pairs])
+    head = f"# time column: {time_description}\n" + ",".join(["time", *names]) + "\n"
+    Path(path).write_text(head + _e12_rows(table))
+
+
+@functools.cache
+def _e12_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of _e12_rows, built at its first call: 10^k at
+    k + 300 for k = -300..299, each correctly rounded (parsed from "1e{k}";
+    10.0 ** k need not be), then four-byte words of ASCII text: "-L.D" for
+    the first two digits LD of a mantissa, "DDDD" for 0..9999, "DDDe" for
+    0..999 and "+EEE" or "-EEE" at k + 300 for the exponents k."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    pairs = np.column_stack([np.repeat(digit, 10), np.tile(digit, 10)])
+    triples = np.column_stack([np.repeat(digit, 100), np.tile(pairs, (10, 1))])
+    exponents = np.arange(-300, 300)
+
+    def words(*columns) -> np.ndarray:
+        return np.column_stack(columns).astype(np.uint8).view(np.uint32).reshape(-1)
+
+    def char(c: str, n: int) -> np.ndarray:
+        return np.full(n, ord(c))
+
+    return (
+        np.array([float(f"1e{k}") for k in exponents]),
+        words(char("-", 100), pairs[:, 0], char(".", 100), pairs[:, 1]),
+        words(np.repeat(pairs, 100, axis=0), np.tile(pairs, (100, 1))),
+        words(triples, char("e", 1000)),
+        words(np.where(exponents < 0, ord("-"), ord("+")), triples[np.abs(exponents)]),
+    )
+
+
+def _e12_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 13 digits q and the exponent e that "%.12e" prints for each
+    entry of x, and where they are proven right.
+
+    An entry |x| = m 10^e with 1 <= m < 10 is scaled by the correctly
+    rounded 10^(12 - e), with e from log10|x|.  The scaled value is then
+    within about 2.2e-3 of the exact one, so rounding it gives the digits
+    whenever it is more than 0.005 from a tie and lands in [1e12, 1e13]
+    (1e13 carries into the exponent).  A result of exactly 1e12 is kept
+    only if |x| is at least the double nearest 10^e, since below it e may
+    be one too high.  Zeros are proven with q = e = 0; every other entry
+    (near ties, |e| >= 280, inf and nan) is not, and has q = e = 0."""
+    powers = _e12_tables()[0]
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(np.abs(x)))
+    fast = np.abs(e) < 280  # not for zero, inf or nan
+    a = np.where(fast, np.abs(x), 1.0)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    scaled = a * powers[312 - e]
+    q = np.rint(scaled)
+    fast &= (np.abs(scaled - np.floor(scaled) - 0.5) > 0.005) & (q >= 1e12) & (q <= 1e13)
+    fast &= (q != 1e12) | (a >= powers[e + 300])
+    carry = q == 1e13
+    q[carry] = 1e12
+    e += carry
+    q[~fast], e[~fast] = 0.0, 0
+    fast |= x == 0.0
+    return q.astype(np.int64), e, fast
+
+
+def _e12_rows(table: np.ndarray) -> str:
+    """The rows of a 2-D float table, each entry exactly as "%.12e" prints
+    it, comma-separated, each row ended by a newline.
+
+    Each entry fills six four-byte words: its text from the digits of
+    _e12_digits, its separator and padding.  An entry whose digits are not
+    proven is formatted by "%.12e" itself.  The bytes an entry does not use
+    (the sign of a positive entry, the hundreds digit of a two-digit
+    exponent, the tail of a short fallback, the padding) are dropped at the
+    end."""
+    _, head, quad, tail, exps = _e12_tables()
+    x = table.reshape(-1)
+    q, e, fast = _e12_digits(x)
+    words = np.empty((x.size, 6), dtype=np.uint32)
+    hi = q // 10**11
+    words[:, 0] = head[hi]
+    lo = q // 10**7
+    words[:, 1] = quad[lo - hi * 10**4]
+    hi = q // 10**3
+    words[:, 2] = quad[hi - lo * 10**4]
+    words[:, 3] = tail[q - hi * 10**3]
+    words[:, 4] = exps[e + 300]
+    out = words.view(np.uint8)
+    out[:, 20] = ord(",")
+    out[table.shape[1] - 1 :: table.shape[1], 20] = ord("\n")
+    keep = np.zeros(out.shape, dtype=bool)
+    keep[:, 1:21] = True
+    keep[:, 0] = np.signbit(x)
+    keep[:, 17] = np.abs(e) >= 100
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        values = x[slow].tolist()
+        field = np.frombuffer((("%-20.12e" * len(values)) % tuple(values)).encode("ascii"), dtype=np.uint8)
+        field = field.reshape(-1, 20)
+        out[slow, :20] = field
+        keep[slow, :20] = field != ord(" ")
+    return str(out[keep], "ascii")

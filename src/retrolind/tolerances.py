@@ -36,3 +36,6 @@ PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes
 MAX_RK4_STEPS = 1e7  # RK4 steps of one integration over the window
 MAX_RECORDED_BYTES = 2.0**30  # bytes of the recorded states of one integrated operator
 MAX_GENERATOR_BYTES = 2.0**28  # bytes of one d^2 x d^2 generator, so dim <= 64
+
+# Memory held by a model (dynamics)
+MAX_HELD_PLANS = 64.0  # RK4 step plans one model holds, the least recently used dropped first

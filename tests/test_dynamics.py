@@ -680,3 +680,51 @@ class TestHeldStepPlans:
                 assert 0 < _held_bytes(model) <= budget if plans >= 1 else _held_bytes(model) == 0
                 fresh = _evolve_mode(mode, LindbladModel(model.dim, model.hamiltonian, model.jump_ops), rho, t)
                 assert run.states.tobytes() == fresh.states.tobytes()
+
+
+def _staged_retrodictive(model, rho: np.ndarray, duration: float, config: IntegratorConfig) -> Trajectory:
+    """The reference: rk4_integrate stepping retrodictive_rhs stage by stage."""
+    dim = model.dim
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        return retrodictive_rhs(model, v.reshape(dim, dim)).reshape(-1)
+
+    return rk4_integrate(rhs, rho.reshape(-1), duration, config)
+
+
+class TestKrylovRetrodictiveStep:
+    """evolve_retrodictive takes each RK4 step in the basis (h G^dag)^j v."""
+
+    @pytest.mark.parametrize("record_every", [1, 50])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_stage_by_stage_stepping(self, dim, record_every):
+        rng = np.random.default_rng(70 + dim)
+        model = random_model(rng, dim=dim)
+        rho = random_density(rng, dim)
+        config = IntegratorConfig(200, record_every)
+        traj = evolve_retrodictive(model, DensityOperator(rho), 0.6, config)
+        staged = _staged_retrodictive(model, rho, 0.6, config)
+        np.testing.assert_array_equal(traj.times, staged.times)
+        assert len(traj) == len(staged) > 1
+        for a, b in zip(traj.states, staged.states):
+            assert np.max(np.abs(a - b.reshape(dim, dim))) <= 1e-13 * scale_of(b)
+
+    def test_takes_no_stage_by_stage_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a retrodictive evolution stepped stage by stage")
+
+        monkeypatch.setattr(dynamics, "_rk4_step", refuse)
+        rng = np.random.default_rng(78)
+        model = random_model(rng, dim=3)
+        traj = evolve_retrodictive(model, DensityOperator(random_density(rng, 3)), 0.3, IntegratorConfig(100, 10))
+        assert len(traj) == 4
+
+    def test_overflow_reports_the_first_step(self):
+        rng = np.random.default_rng(79)
+        model = random_model(rng, dim=3)
+        kvec = dynamics._jump_commutator_sum(model).T.reshape(-1)
+        assert np.abs(kvec).max() > 0.0
+        x0 = 1e170 * random_density(rng, 3).reshape(-1)
+        with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
+            rk4_integrate(None, x0, 1.0, _step=dynamics._krylov_steps(model, kvec))
+        assert err.value.step == 1

@@ -398,6 +398,33 @@ class TestHeldStepPlans:
             held = sum(inc.nbytes for inc in vars(scenario.model)["_plans"].values())
             assert held <= dynamics.MAX_GENERATOR_BYTES
 
+    def test_many_distinct_collapse_times_hold_at_most_the_plan_bound(self):
+        scenario = self._scenario()
+        window = scenario.t_m - scenario.t_p
+        for k in range(1000):
+            predict_outcome_probs(scenario, 0, scenario.t_p + window * (k + 1) / 1001)
+        assert 0 < len(vars(scenario.model)["_plans"]) <= dynamics.MAX_HELD_PLANS
+
+    def test_the_least_recently_used_plan_is_dropped_first(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_HELD_PLANS", 3)
+        model = self._scenario().model
+        rhs = dynamics._LinearRhs(model, backward=False)
+        for h in (1.0, 2.0, 3.0, 1.0, 4.0):
+            rhs.plan(h, 1, lambda: np.zeros((9, 9), dtype=complex))
+        assert [h for _, h, _ in vars(model)["_plans"]] == [3.0, 1.0, 4.0]
+
+    def test_a_query_builds_one_trajectory_per_run(self, monkeypatch):
+        built = []
+
+        class CountingTrajectory(dynamics.Trajectory):
+            def __post_init__(self):
+                built.append(len(self.times))
+                super().__post_init__()
+
+        monkeypatch.setattr(dynamics, "Trajectory", CountingTrajectory)
+        bayes_from_predictive(self._scenario(), 0)
+        assert len(built) == 2  # the preparations forward, the outcome operators backward
+
 
 class TestOutcomePairing:
     def test_raw_sum_reason_is_a_plain_number(self):

@@ -4,17 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrolind import (
     IntegratorConfig,
     ScenarioFormatError,
     ScenarioValidationError,
     dump_scenario,
+    evolve_pom_backward,
     evolve_predictive,
     load_scenario,
     write_trajectory_csv,
 )
+from retrolind.cli import main
 from retrolind.scenario_io import (
+    _e12_rows,
     matrix_from_pairs,
     matrix_to_pairs,
     parse_scenario,
@@ -309,3 +314,88 @@ class TestTrajectoryCsvBytes:
         header = path.read_text().splitlines()[1]
         assert header == _per_entry_csv(traj, "t").splitlines()[1]
         assert header.endswith(",re_21,im_21,re_22,im_22")
+
+
+def _printf_rows(table: np.ndarray) -> str:
+    return "".join(",".join("%.12e" % x for x in row) + "\n" for row in table.tolist())
+
+
+def _assert_rows_match_printf(values) -> None:
+    values = np.asarray(values, dtype=float)
+    for table in (values.reshape(-1, 1), values.reshape(1, -1), np.column_stack([values, -values])):
+        assert _e12_rows(table) == _printf_rows(table)
+
+
+class TestVectorisedE12Formatting:
+    """The writer's array formatter prints every double as "%.12e" does."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats_match_printf(self, values):
+        _assert_rows_match_printf(values)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns_match_printf(self, bits):
+        _assert_rows_match_printf(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            12345678901235.0,  # a tie at the 13th digit, exact in binary
+            1.2345678901235,  # a near tie
+            1.2345678901245,
+            7.4729779554405e-17,  # near ties that the scaled value rounds the wrong way
+            7.0471252312995e-13,
+            1.0017100144665e17,
+            8.5969987141515e27,
+            9.999999999999496e256,  # log10 rounds up to the next power of ten
+            9.999999999999347e278,
+            9.999999999999498e-257,
+            9.9999999999999995e-1,  # carries into the exponent
+            9.9999999999995e99,
+            9.99999999999995e99,
+            9.99999999999949e99,
+            9.999999999999e99,  # exponents crossing +-99 / +-100
+            1e99,
+            1e100,
+            1.5e100,
+            9.99999999999995e-100,
+            1e-99,
+            1e-100,
+            1.5e-100,
+            0.0,
+            5e-324,  # the smallest subnormal
+            2.2250738585072014e-308,
+            1.7976931348623157e308,
+            1e280,
+            1e-280,
+            float("inf"),
+            float("nan"),
+        ],
+    )
+    def test_fixed_cases_match_printf(self, value):
+        _assert_rows_match_printf([value, -value])
+
+    def test_powers_of_ten_and_their_neighbours_match_printf(self):
+        powers = np.array([float(f"1e{k}") for k in range(-330, 310)])
+        _assert_rows_match_printf(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_signed_zeros_keep_their_sign(self):
+        assert _e12_rows(np.array([[0.0, -0.0]])) == "0.000000000000e+00,-0.000000000000e+00\n"
+
+    @pytest.mark.parametrize("mode, initial", [("predictive", "+"), ("predictive", "-"), ("pom-backward", "+")])
+    def test_evolve_on_the_demo_writes_the_per_entry_bytes(self, mode, initial, tmp_path, capsys):
+        path = tmp_path / "evolve.csv"
+        demo = SCENARIOS_DIR / "atom_demo.json"
+        assert main(["evolve", str(demo), "--mode", mode, "--initial", initial, "--out", str(path)]) == 0
+        scenario = load_scenario(demo)
+        if mode == "predictive":
+            state = scenario.ensemble.states[scenario.ensemble.labels.index(initial)]
+            traj = evolve_predictive(scenario.model, state, scenario.duration, scenario.integrator)
+            description = "t - t_p (laboratory time since preparation)"
+        else:
+            element = scenario.pom.elements[scenario.pom.labels.index(initial)]
+            traj = evolve_pom_backward(scenario.model, element, scenario.duration, scenario.integrator)
+            description = "tau = t_m - t (premeasurement time)"
+        assert path.read_bytes() == _per_entry_csv(traj, description).encode()
