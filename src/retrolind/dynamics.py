@@ -19,34 +19,17 @@ the negatives of the corresponding d/dt forms:
                     + 2 rho Tr{rho sum_q [A_q^dag, A_q]}.
 
 The identity is a fixed point of the outcome-operator equation, and the
-final nonlinear term keeps the retrodictive state normalized.
-
-For speed the evolution routines integrate the equivalent generator matrix
-G acting on row-major-flattened operators; the operator-form functions above
-are the reference definitions and the two forms are tested against each
-other.  Each model builds its generator once, at the first step of its
-first integration, and keeps it; the backward one is its conjugate
-transpose.  The two linear modes form the RK4 step matrix
-S = sum_{k<=4} (hG)^k / k! and then its power J = S^r, with r the record
-stride, so one product x <- x + (J - I) x carries any number of operators,
-as the columns of one block, from one recorded state to the next.  The
-model also holds these step plans, S - I and each J - I, keyed on the
-direction, the exact step size h and the stride, within one generator's
-bytes (MAX_GENERATOR_BYTES) and MAX_HELD_PLANS of them, the least
-recently used dropped first, so a repeated integration builds neither.
-
-The retrodictive mode takes each RK4 step of its nonlinear right-hand side
-f(v) = G^dag v + 2 (k.v) v in the Krylov basis b_j = (h G^dag)^j v,
-j = 0..4, which spans every stage: four products with h G^dag, one with k
-for the scalars 2h k.b_j, the four stages as recurrences on at most five
-coefficients, then v' = v + sum_j alpha_j b_j.  It is the same RK4 step,
-with a different round-off from the stage-by-stage one.
+final nonlinear term keeps the retrodictive state normalized.  The
+evolution routines act on row-major-flattened operators, where the linear
+parts are the generator matrix G of predictive_generator and its conjugate
+transpose; the operator-form functions are the reference definitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -74,6 +57,8 @@ __all__ = [
 ]
 
 _DEFAULT_CONFIG = IntegratorConfig()
+_Rhs = Callable[[np.ndarray], np.ndarray]
+_Advance = Callable[[np.ndarray, int], np.ndarray]  # x, m -> the state m RK4 steps on
 
 
 class IntegrationError(RuntimeError):
@@ -207,51 +192,34 @@ def _model_generator(model: LindbladModel) -> np.ndarray:
     return gen
 
 
-class _LinearRhs:
-    """v -> G v with G the model's predictive generator, or its conjugate
-    transpose (the pom_backward_generator) if backward.  G is looked up at
-    the first call, so a zero-length integration, which never calls its
-    right-hand side, builds no d^4 generator, and neither does one whose
-    step plans the model already holds."""
-
-    def __init__(self, model: LindbladModel, backward: bool):
-        self.model = model
-        self.backward = backward
-        self._gen: np.ndarray | None = None
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        if self._gen is None:
-            gen = _model_generator(self.model)
-            self._gen = gen.conj().T if self.backward else gen
-        return self._gen @ v
-
-    def plan(self, h: float, m: int, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """S^m - I for this map's RK4 step matrix S at step h: the one the
-        model holds, keyed on (backward, h, m), or else build(), which the
-        model then holds, read-only, next to its generator.  A new one that
-        would take the held bytes past MAX_GENERATOR_BYTES first drops all
-        those held, so a model holds at most one generator's worth, and one
-        past MAX_HELD_PLANS drops the least recently used one."""
-        plans = self.model.__dict__.get("_plans")
-        if plans is None:
-            plans = {}
-            object.__setattr__(self.model, "_plans", plans)
-        key = (self.backward, h, m)
-        inc = plans.pop(key, None)
-        if inc is None:
-            inc = build()
-            if sum(held.nbytes for held in plans.values()) + inc.nbytes > MAX_GENERATOR_BYTES:
-                plans.clear()
-            if inc.nbytes > MAX_GENERATOR_BYTES:
-                return inc
-            inc.setflags(write=False)
-            if len(plans) >= MAX_HELD_PLANS:
-                del plans[next(iter(plans))]
-        plans[key] = inc  # insertion order is the order of last use
-        return inc
+def _held(model: LindbladModel, backward: bool, h: float, m: int, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The step plan S^m - I (see _linear) of the model's generator, or of
+    its conjugate transpose if backward, that the model holds, keyed on
+    (backward, h, m), or else build(), which the model then holds, read-only,
+    next to its generator.  A new one that would take the held bytes past
+    MAX_GENERATOR_BYTES first drops all those held, so a model holds at most
+    one generator's worth, and one past MAX_HELD_PLANS drops the least
+    recently used one."""
+    plans = model.__dict__.get("_plans")
+    if plans is None:
+        plans = {}
+        object.__setattr__(model, "_plans", plans)
+    key = (backward, h, m)
+    inc = plans.pop(key, None)
+    if inc is None:
+        inc = build()
+        if sum(held.nbytes for held in plans.values()) + inc.nbytes > MAX_GENERATOR_BYTES:
+            plans.clear()
+        if inc.nbytes > MAX_GENERATOR_BYTES:
+            return inc
+        inc.setflags(write=False)
+        if len(plans) >= MAX_HELD_PLANS:
+            del plans[next(iter(plans))]
+    plans[key] = inc  # insertion order is the order of last use
+    return inc
 
 
-def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs: _Rhs, x: np.ndarray, h: float) -> np.ndarray:
     k1 = rhs(x)
     k2 = rhs(x + (0.5 * h) * k1)
     k3 = rhs(x + (0.5 * h) * k2)
@@ -265,31 +233,22 @@ def rk4_integrate(
     duration: float,
     config: IntegratorConfig = _DEFAULT_CONFIG,
     linear: bool = False,
-    _plan: Callable[[float, int, Callable[[], np.ndarray]], np.ndarray] | None = None,
-    _step: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None,
+    _advance: Callable[[_Rhs, float], _Advance] | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
 
     Records every record_every-th state plus the final one, in one array.
-    Raises IntegrationError with the offending step index if the state stops
-    being finite; numpy's overflow and invalid-value warnings are silenced,
-    since that error reports them.
+    Each record is reached from the last by advance(x, m), m steps at once,
+    and tested for finiteness once.  A record that is not finite is
+    re-stepped from the last one by advance(x, 1), which raises
+    IntegrationError at the first non-finite step, or, where only the m-step
+    product overflowed, gives the finite record.  numpy's overflow and
+    invalid-value warnings are silenced, since that error reports them.
 
-    With linear=True, rhs must be a time-independent linear map v -> G v
-    acting on the leading axis.  One RK4 step of rhs on the identity then
-    gives the step matrix S = sum_{k<=4} (hG)^k / k!, and its power
-    J = S^r, with r = record_every (S^m for a shorter last interval), carries
-    x0, which may be a block of columns advanced together, from one record
-    to the next in one product, x <- x + (J - I) x.  J - I is formed on
-    the increments, so the round-off of a record stays that of one step.
-    Finiteness is tested once per record; a record that is not finite is
-    re-stepped from the previous one, one S at a time, which names the first
-    non-finite step, or, where only the product with J overflowed, gives the
-    finite record.  _plan(h, m, build), if given, returns S^m - I for this
-    rhs from a store that outlives the call (see _LinearRhs.plan), or
-    build(); the store must hold only increments of this rhs.  _step(h), if
-    given, returns one RK4 step x -> x' of rhs at step h (see
-    _krylov_steps), taken in place of the stage-by-stage one.
+    advance takes m stage-by-stage steps of rhs, or, with linear=True, for a
+    time-independent linear map rhs v -> G v on the leading axis of x0, one
+    product with a power of its step matrix (see _linear).  _advance(rhs, h),
+    if given, makes the advance instead, from the rhs passed here.
     """
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -302,53 +261,108 @@ def rk4_integrate(
     states = np.empty((len(steps), *x.shape), dtype=np.complex128)
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        if linear:
-            increment = _increments(rhs, h, x.shape[0], _plan)
-            records = _linear_records(increment, states[0], n_steps, config.record_every)
-        else:
-            step = (lambda v: _rk4_step(rhs, v, h)) if _step is None else _step(h)
-            records = _staged_records(step, states[0], n_steps, config.record_every)
-        for r, state in enumerate(records, 1):
-            states[r] = state
+        advance = (_advance or (_linear if linear else _staged))(rhs, h)
+        k = 0
+        for r in range(1, len(steps)):
+            m = min(config.record_every, n_steps - k)
+            nxt = advance(x, m)
+            if not np.isfinite(nxt).all():
+                nxt = x
+                for i in range(k + 1, k + m + 1):
+                    nxt = advance(nxt, 1)
+                    if not np.isfinite(nxt).all():
+                        raise IntegrationError(f"non-finite state at step {i} of {n_steps}", step=i)
+            states[r] = x = nxt
+            k += m
     return Trajectory(steps * h, states)
 
 
-def _non_finite(k: int, n_steps: int) -> IntegrationError:
-    return IntegrationError(f"non-finite state at step {k} of {n_steps}", step=k)
+def _staged(rhs: _Rhs, h: float) -> _Advance:
+    """The advance by m RK4 steps of rhs, each stage by stage."""
+
+    def advance(x: np.ndarray, m: int) -> np.ndarray:
+        for _ in range(m):
+            x = _rk4_step(rhs, x, h)
+        return x
+
+    return advance
 
 
-def _staged_records(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_steps: int, record_every: int):
-    """The state at every record_every-th RK4 step and at the last."""
-    for k in range(1, n_steps + 1):
-        x = step(x)
-        if not np.isfinite(x).all():
-            raise _non_finite(k, n_steps)
-        if k % record_every == 0 or k == n_steps:
-            yield x
+def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
+    """(I + inc)^m - I by binary powering, multiplied out on the increments:
+    (I + A)(I + B) = I + A + B + AB.  Near the identity this keeps the
+    relative precision of the increment, which a rounded (I + inc)^m loses."""
+    result, base = None, inc
+    while True:
+        if m & 1:
+            result = base if result is None else result + base + result @ base
+        m >>= 1
+        if not m:
+            return result
+        base = 2.0 * base + base @ base
 
 
-def _krylov_steps(model: LindbladModel, kvec: np.ndarray) -> Callable[[float], Callable[[np.ndarray], np.ndarray]]:
-    """h -> the RK4 step of v -> G^dag v + 2 (kvec.v) v at step h, with G the
-    model's predictive generator, taken in the basis b_j = (h G^dag)^j v,
-    j = 0..4.  Each stage input is v plus a combination of earlier stages,
-    so with s_j = 2h kvec.b_j a stage h f(sum_j c_j b_j) has the coefficients
-    of sum_j c_j b_{j+1} + (sum_j c_j s_j) sum_j c_j b_j: a polynomial in the
-    shift one degree higher, degree 4 after the fourth stage.  The step
-    returns v + sum_j alpha_j b_j, the 1 of v left out of alpha_0, so its
-    round-off is relative to the change, as in the stage-by-stage step.
-    h G^dag is formed once per call of the returned function, in place of a
-    conjugate copy; G itself is looked up there, so a run with no step
-    builds none."""
+def _linear(rhs: _Rhs, h: float, plan: Callable[..., np.ndarray] | None = None) -> _Advance:
+    """The advance x -> S^m x for the RK4 step matrix S = sum_{k<=4} (hG)^k / k!
+    of a linear rhs v -> G v, as x + (S^m - I) x: one product carries every
+    column of x from one record to the next, and the step plan S^m - I,
+    formed on the increments by _power_increment, keeps the round-off of a
+    record that of one step.  S - I is one RK4 step of rhs on the identity
+    less the identity, built at most once per integration; plan(h, m, build),
+    if given, returns a plan from a store that outlives the integration (see
+    _held), or build().  The current stride's plan is kept at hand.
 
-    def at(h: float) -> Callable[[np.ndarray], np.ndarray]:
-        hg = _model_generator(model).T.conj()
-        hg *= h
-        kh = (2.0 * h) * kvec
-        basis = np.empty((5, len(kvec)), dtype=np.complex128)
-        b0, b1, b2, b3, b4 = basis
-        first4 = basis[:4]
+    S is built by _rk4_step on the rhs that rk4_integrate received, not by
+    Horner's rule on G, because the benchmark's tracer counts RK4 steps as
+    calls of that rhs; Horner's rule, and dropping rk4_integrate's private
+    keyword, wait until the benchmark counts steps from the integrator."""
+    one: list[np.ndarray] = []
+    stride, jump = 0, None
 
-        def step(x: np.ndarray) -> np.ndarray:
+    def increment(m: int, size: int) -> np.ndarray:
+        def build() -> np.ndarray:
+            if m > 1:
+                return _power_increment(increment(1, size), m)
+            if not one:
+                eye = np.eye(size, dtype=np.complex128)
+                one.append(_rk4_step(rhs, eye, h) - eye)
+            return one[0]
+
+        return build() if plan is None else plan(h, m, build)
+
+    def advance(x: np.ndarray, m: int) -> np.ndarray:
+        nonlocal stride, jump
+        if m != stride:
+            stride, jump = m, increment(m, len(x))
+        return x + jump @ x
+
+    return advance
+
+
+def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
+    """The advance by m RK4 steps of the retrodictive right-hand side
+    f(v) = G^dag v + 2 (k.v) v, with G the model's predictive generator and
+    k the flattened transpose of _jump_commutator_sum; rhs is not called.
+
+    Each step is taken in the Krylov basis b_j = (h G^dag)^j v, j = 0..4,
+    which spans every stage: each stage input is v plus a combination of
+    earlier stages, so with s_j = 2h k.b_j a stage h f(sum_j c_j b_j) has the
+    coefficients of sum_j c_j b_{j+1} + (sum_j c_j s_j) sum_j c_j b_j, a
+    polynomial in the shift one degree higher, degree 4 after the fourth
+    stage.  The step returns v + sum_j alpha_j b_j, the 1 of v left out of
+    alpha_0, so its round-off is relative to the change, as in the
+    stage-by-stage step.  It is the same RK4 step with a different round-off.
+    h G^dag, h k and the basis are formed once per integration."""
+    kvec = _jump_commutator_sum(model).T.reshape(-1)
+    hg = _model_generator(model).T.conj()
+    hg *= h
+    kh = (2.0 * h) * kvec
+    basis = np.empty((5, len(kvec)), dtype=np.complex128)
+    b0, b1, b2, b3, b4 = basis
+    first4 = basis[:4]
+
+    def advance(x: np.ndarray, m: int) -> np.ndarray:
+        for _ in range(m):
             b0[:] = x
             np.dot(hg, b0, out=b1)
             np.dot(hg, b1, out=b2)
@@ -373,82 +387,36 @@ def _krylov_steps(model: LindbladModel, kvec: np.ndarray) -> Callable[[float], C
                 (2.0 * k33 + k43) / 6.0,
                 k44 / 6.0,
             ]
-            return x + np.dot(alpha, basis)
+            x = x + np.dot(alpha, basis)
+        return x
 
-        return step
-
-    return at
-
-
-def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
-    """(I + inc)^m - I by binary powering, multiplied out on the increments:
-    (I + A)(I + B) = I + A + B + AB.  Near the identity this keeps the
-    relative precision of the increment, which a rounded (I + inc)^m loses."""
-    result, base = None, inc
-    while True:
-        if m & 1:
-            result = base if result is None else result + base + result @ base
-        m >>= 1
-        if not m:
-            return result
-        base = 2.0 * base + base @ base
+    return advance
 
 
-def _increments(rhs, h: float, size: int, plan) -> Callable[[int], np.ndarray]:
-    """m -> S^m - I for the RK4 step matrix S of the linear map rhs at step
-    h.  S - I is one RK4 step on the identity less the identity, built at
-    most once per call, and S^m - I is formed from it by _power_increment;
-    plan(h, m, build), if given, may return either from an earlier call."""
-    built: list[np.ndarray] = []
-
-    def step() -> np.ndarray:
-        if not built:
-            eye = np.eye(size, dtype=np.complex128)
-            built.append(_rk4_step(rhs, eye, h) - eye)
-        return built[0]
-
-    def increment(m: int) -> np.ndarray:
-        build = step if m == 1 else lambda: _power_increment(increment(1), m)
-        return build() if plan is None else plan(h, m, build)
-
-    return increment
-
-
-def _linear_records(increment: Callable[[int], np.ndarray], x: np.ndarray, n_steps: int, record_every: int):
-    """The states at the same records, for the step matrix S with
-    increment(m) = S^m - I: each record is reached from the last as
-    x + (J - I) x with J = S^m."""
-    k, stride = 0, 0
-    while k < n_steps:
-        m = min(record_every, n_steps - k)
-        if m != stride:
-            jump, stride = increment(m), m
-        nxt = x + jump @ x
-        if not np.isfinite(nxt).all():
-            inc, nxt = increment(1), x
-            for i in range(k + 1, k + m + 1):
-                nxt = nxt + inc @ nxt
-                if not np.isfinite(nxt).all():
-                    raise _non_finite(i, n_steps)
-        k, x = k + m, nxt
-        yield x
-
-
-def _records(
-    rhs, ops, duration: float, config: IntegratorConfig, linear: bool = True, step=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _records(rhs: _Rhs | None, ops, duration: float, config: IntegratorConfig, advance=None):
     """The times and the unguarded records of one run of ops, one (d, d)
     operator or an (n, d, d) stack of them, shaped (records, *ops.shape).
     rhs acts on the layout chosen here alone: the row-major-flattened
-    operator, or those of the stack as (d^2, n) columns; a linear rhs is a
-    _LinearRhs, whose model holds the step plans.  step, if given, is
-    rk4_integrate's _step for a nonlinear rhs."""
+    operator, or those of the stack as (d^2, n) columns.  advance is
+    rk4_integrate's _advance; without one, rhs is stepped stage by stage."""
     ops = np.asarray(ops)
     x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
-    plan = rhs.plan if linear else None
-    flat = rk4_integrate(rhs, x0, duration, config, linear=linear, _plan=plan, _step=step)
+    flat = rk4_integrate(rhs, x0, duration, config, _advance=advance)
     records = len(flat)
     return flat.times, np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, *ops.shape)
+
+
+def _linear_records(model: LindbladModel, backward: bool, ops, duration: float, config: IntegratorConfig):
+    """_records of ops by the model's predictive generator G, or by its
+    conjugate transpose (the pom_backward_generator) if backward, on the
+    step plans the model holds.  G is looked up only to build a plan, so a
+    zero-length run, or one whose plans are held, builds no d^4 generator."""
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        gen = _model_generator(model)
+        return (gen.conj().T if backward else gen) @ v
+
+    return _records(rhs, ops, duration, config, partial(_linear, plan=partial(_held, model, backward)))
 
 
 def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarray:
@@ -484,24 +452,6 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     return stack
 
 
-def _evolve(
-    model: LindbladModel,
-    rhs: Callable[[np.ndarray], np.ndarray],
-    ops,
-    duration: float,
-    config: IntegratorConfig,
-    check_trace: bool,
-    linear: bool = True,
-    step=None,
-) -> Trajectory:
-    """Integrate ops, one Hermitian (d, d) operator or an (n, d, d) stack of
-    them (see _records), and guard every recorded state (see _guard).
-    Returns one trajectory whose states are that guarded stack, shaped
-    (records, *ops.shape)."""
-    times, stack = _records(rhs, ops, duration, config, linear, step)
-    return Trajectory(times, _guard(times, stack, check_trace))
-
-
 def evolve_predictive(
     model: LindbladModel,
     rho_p: DensityOperator,
@@ -510,8 +460,8 @@ def evolve_predictive(
 ) -> Trajectory:
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
     _check_model_operator(model, rho_p.op)
-    rhs = _LinearRhs(model, backward=False)
-    return _evolve(model, rhs, rho_p.op, duration, config, check_trace=True)
+    times, stack = _linear_records(model, False, rho_p.op, duration, config)
+    return Trajectory(times, _guard(times, stack, check_trace=True))
 
 
 def evolve_pom_backward(
@@ -527,8 +477,8 @@ def evolve_pom_backward(
     """
     pi_m = _check_model_operator(model, pi_m)
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
-    rhs = _LinearRhs(model, backward=True)
-    return _evolve(model, rhs, pi_m, duration, config, check_trace=False)
+    times, stack = _linear_records(model, True, pi_m, duration, config)
+    return Trajectory(times, _guard(times, stack, check_trace=False))
 
 
 def evolve_retrodictive(
@@ -540,15 +490,9 @@ def evolve_retrodictive(
     """Evolve a retrodictive state backward from the measurement.
 
     Same parameterization as evolve_pom_backward, but nonlinear: each RK4
-    step is taken in a Krylov basis (see _krylov_steps), and the nonlinear
+    step is taken in a Krylov basis (see _krylov), and the nonlinear
     term keeps every recorded state unit-trace.
     """
     _check_model_operator(model, rho_m.op)
-    linear = _LinearRhs(model, backward=True)
-    kvec = _jump_commutator_sum(model).T.reshape(-1)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return linear(v) + (2.0 * (kvec @ v)) * v
-
-    steps = _krylov_steps(model, kvec)
-    return _evolve(model, rhs, rho_m.op, duration, config, check_trace=True, linear=False, step=steps)
+    times, stack = _records(None, rho_m.op, duration, config, advance=partial(_krylov, model))
+    return Trajectory(times, _guard(times, stack, check_trace=True))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, _check_model_operator, _guard, _LinearRhs, _records
+from .dynamics import IntegrationError, _check_model_operator, _guard, _linear_records
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -131,7 +131,7 @@ def preparation_operators(
 def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> np.ndarray:
     """Final states, one per operator of ops, of one batched run over duration, by
     the backward (outcome-operator) equation or the predictive one, whose states keep unit trace."""
-    times, stack = _records(_LinearRhs(model, backward), ops, duration, config)
+    times, stack = _linear_records(model, backward, ops, duration, config)
     return _guard(times, stack, check_trace=not backward)[-1]
 
 
@@ -158,12 +158,12 @@ def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> np.n
     pass, at their times along the chain (t - t_p forward, t_m - t backward);
     a segment that stops being finite first has the records before it
     guarded, so the earliest failure is the one raised."""
-    rhs, check_trace = _LinearRhs(scenario.model, backward), not backward
+    check_trace = not backward
     times, records, ends = [np.zeros(1)], [np.asarray(op, dtype=np.complex128)[None]], [0]
     start = 0.0
     for segment in segments:
         try:
-            run_times, run = _records(rhs, op, float(segment), scenario.integrator)
+            run_times, run = _linear_records(scenario.model, backward, op, float(segment), scenario.integrator)
         except IntegrationError:
             _guard(np.concatenate(times), np.concatenate(records), check_trace)
             raise

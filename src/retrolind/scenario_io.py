@@ -284,13 +284,19 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory, time_description: str) -> None:
     """Write recorded states as delimited text, one row per time."""
-    dim = trajectory.states.shape[-1]
-    w = len(str(dim - 1))
-    names = [f"{part}_{r:0{w}}{c:0{w}}" for r in range(dim) for c in range(dim) for part in ("re", "im")]
     pairs = np.ascontiguousarray(trajectory.states, dtype=np.complex128).reshape(len(trajectory), -1).view(float)
     table = np.column_stack([trajectory.times, pairs])
-    head = f"# time column: {time_description}\n" + ",".join(["time", *names]) + "\n"
+    head = f"# time column: {time_description}\n{_csv_columns(trajectory.states.shape[-1])}\n"
     Path(path).write_text(head + _e12_rows(table))
+
+
+@functools.cache
+def _csv_columns(dim: int) -> str:
+    """The header row for dim x dim states: time, then re_rc and im_rc for
+    each entry, row-major, with r and c zero-padded to one width."""
+    w = len(str(dim - 1))
+    names = (f"{part}_{r:0{w}}{c:0{w}}" for r in range(dim) for c in range(dim) for part in ("re", "im"))
+    return ",".join(["time", *names])
 
 
 @functools.cache

@@ -79,19 +79,20 @@ def random_sweep():
             model, normalize_to_retrodictive(scenario.pom.elements[0]), window, config
         )
 
-        for state in retro.states:
-            worst["trace"] = max(worst["trace"], abs(trace(state).real - 1.0))
+        # One call per trajectory's stack; a norm over axes (-2, -1) is one
+        # Frobenius norm per recorded matrix.
+        worst["trace"] = max(worst["trace"], float(np.max(np.abs(trace(retro.states).real - 1.0))))
         for traj in (retro, *backward, *forward):
-            for state in traj.states:
-                worst["eig"] = min(worst["eig"], min_eigenvalue(state))
-        for idx in range(len(backward[0])):
-            total = sum(traj.states[idx] for traj in backward)
-            worst["completeness"] = max(worst["completeness"], frobenius_distance(total, eye))
-        for nonlinear, linear in zip(retro.states, backward[0].states):
-            worst["equivalence"] = max(
-                worst["equivalence"],
-                frobenius_distance(nonlinear, linear / trace(linear).real),
-            )
+            worst["eig"] = min(worst["eig"], float(np.min(min_eigenvalue(traj.states))))
+        total = sum(traj.states for traj in backward)
+        worst["completeness"] = max(
+            worst["completeness"], float(np.max(np.linalg.norm(total - eye, axis=(-2, -1))))
+        )
+        linear = backward[0].states
+        normalized = linear / trace(linear).real[:, None, None]
+        worst["equivalence"] = max(
+            worst["equivalence"], float(np.max(np.linalg.norm(retro.states - normalized, axis=(-2, -1))))
+        )
 
         direct = retrodict_preparation_probs(scenario, 0)
         via_bayes = bayes_from_predictive(scenario, 0)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -422,13 +424,13 @@ class TestRecordedStateGuards:
 
 
 def _drifting_block(*columns: tuple[np.ndarray, np.ndarray]) -> Trajectory:
-    """_evolve on a stack of (start, rate) operators that move in a straight
+    """A guarded run of a stack of (start, rate) operators that move in a straight
     line, recorded at times 0, 1, 2 and 3, with every guard on.  The rate is
     given in the integrator's layout, one flattened operator per column."""
     ops = np.stack([start for start, _ in columns]).astype(complex)
     rate = np.stack([slope.reshape(-1) for _, slope in columns], axis=1).astype(complex)
-    model = two_level_decay_model(1.0)
-    return dynamics._evolve(model, lambda v: rate, ops, 3.0, IntegratorConfig(1, 1), check_trace=True, linear=False)
+    times, stack = dynamics._records(lambda v: rate, ops, 3.0, IntegratorConfig(1, 1))
+    return Trajectory(times, dynamics._guard(times, stack, check_trace=True))
 
 
 MIXED = np.diag([0.5, 0.5])
@@ -600,9 +602,8 @@ class TestLinearStepMatrix:
         model = random_model(rng, dim=3)
         config = IntegratorConfig(400, 40)
         elements = [random_density(rng, 3) for _ in range(3)]
-        batched = dynamics._evolve(
-            model, dynamics._LinearRhs(model, backward=True), np.stack(elements), 0.8, config, check_trace=False
-        )
+        times, stack = dynamics._linear_records(model, True, np.stack(elements), 0.8, config)
+        batched = Trajectory(times, dynamics._guard(times, stack, check_trace=False))
         for k, element in enumerate(elements):
             single = evolve_pom_backward(model, element, 0.8, config)
             np.testing.assert_array_equal(batched.times, single.times)
@@ -617,8 +618,8 @@ class TestEvolveShape:
         rng = np.random.default_rng(49)
         model = random_model(rng, dim=3)
         ops = random_density(rng, 3) if n is None else np.stack([random_density(rng, 3) for _ in range(n)])
-        rhs = dynamics._LinearRhs(model, backward=False)
-        traj = dynamics._evolve(model, rhs, ops, 0.5, IntegratorConfig(100, 10), check_trace=True)
+        times, stack = dynamics._linear_records(model, False, ops, 0.5, IntegratorConfig(100, 10))
+        traj = Trajectory(times, dynamics._guard(times, stack, check_trace=True))
         assert traj.states.shape == (6, *ops.shape)
         assert not traj.states.flags.writeable
         np.testing.assert_array_equal(traj.states[0], symmetrize(ops))
@@ -726,5 +727,5 @@ class TestKrylovRetrodictiveStep:
         assert np.abs(kvec).max() > 0.0
         x0 = 1e170 * random_density(rng, 3).reshape(-1)
         with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
-            rk4_integrate(None, x0, 1.0, _step=dynamics._krylov_steps(model, kvec))
+            rk4_integrate(None, x0, 1.0, _advance=partial(dynamics._krylov, model))
         assert err.value.step == 1

@@ -267,11 +267,11 @@ class TestCollapseTimeSweep:
 
 
 def _per_segment_chain(scenario, op, segments, backward):
-    """The chain as one guarded _evolve per segment, each from the last one's final."""
-    rhs = dynamics._LinearRhs(scenario.model, backward)
+    """The chain as one guarded run per segment, each from the last one's final."""
     points = []
     for segment in segments:
-        run = dynamics._evolve(scenario.model, rhs, op, float(segment), scenario.integrator, check_trace=not backward)
+        times, stack = dynamics._linear_records(scenario.model, backward, op, float(segment), scenario.integrator)
+        run = dynamics.Trajectory(times, dynamics._guard(times, stack, check_trace=not backward))
         points.append(run.states[0])
         op = run.final
     return np.array([*points, op])
@@ -408,9 +408,8 @@ class TestHeldStepPlans:
     def test_the_least_recently_used_plan_is_dropped_first(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_HELD_PLANS", 3)
         model = self._scenario().model
-        rhs = dynamics._LinearRhs(model, backward=False)
         for h in (1.0, 2.0, 3.0, 1.0, 4.0):
-            rhs.plan(h, 1, lambda: np.zeros((9, 9), dtype=complex))
+            dynamics._held(model, False, h, 1, lambda: np.zeros((9, 9), dtype=complex))
         assert [h for _, h, _ in vars(model)["_plans"]] == [3.0, 1.0, 4.0]
 
     def test_a_query_builds_one_trajectory_per_run(self, monkeypatch):
