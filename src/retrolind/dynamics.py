@@ -93,7 +93,7 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if len(times) == 0 or times[0] != 0.0:
             raise ValueError("trajectory must start at time 0")
-        if np.any(np.diff(times) <= 0.0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("trajectory times must increase strictly")
 
     @property
@@ -423,10 +423,12 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     """The records of stack, shaped (records, ..., d, d) and recorded at
     times, guarded in one call per check over all of them, and returned
     symmetrized: the Hermiticity drift must be round-off, which symmetrizing
-    then absorbs; the trace (if check_trace) and positivity must hold.  The
-    records are finite (the integrator checks each one it takes, and the
-    initial operators are validated inputs), so the symmetrized stack goes
-    to the eigensolver as it is.
+    then absorbs; the trace (if check_trace) must hold; each record must be
+    finite and positive, lowest eigenvalue >= -POSITIVITY_DRIFT_TOL.  One
+    batched Cholesky factorisation of the stack + POSITIVITY_DRIFT_TOL * I,
+    with a finite factor, certifies positivity; a stack it does not certify
+    goes to eigvalsh (finite records only), which then decides.  The two
+    agree except within round-off of the tolerance.
 
     The earliest failing record, and in it the lowest failing operator,
     raises its first failing check in that order; at time 0 no step has been
@@ -435,14 +437,24 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
     stack = symmetrize(stack)
     trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
-    low = np.linalg.eigvalsh(stack)[..., 0]
-    failed = drifted | (trace_dev > TRACE_DRIFT_TOL) | (low < -POSITIVITY_DRIFT_TOL)
+    failed = drifted | (trace_dev > TRACE_DRIFT_TOL)
+    if not failed.any():
+        try:  # LAPACK may factor a NaN input without an error, into a NaN factor
+            if np.isfinite(np.linalg.cholesky(stack + POSITIVITY_DRIFT_TOL * np.eye(stack.shape[-1]))).all():
+                return stack
+        except np.linalg.LinAlgError:
+            pass
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    low = np.linalg.eigvalsh(np.where(finite[..., None, None], stack, 0.0))[..., 0]
+    failed |= ~finite | ~(low >= -POSITIVITY_DRIFT_TOL)  # a NaN eigenvalue fails too
     if failed.any():
         at = np.unravel_index(np.argmax(failed), failed.shape)
         if drifted[at]:
             what = f"hermiticity drift {drift[at]:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
         elif trace_dev[at] > TRACE_DRIFT_TOL:
             what = f"trace off by {trace_dev[at]:.3e}"
+        elif not finite[at]:
+            what = "non-finite state"
         else:
             what = f"eigenvalue {low[at]:.3e} below -{POSITIVITY_DRIFT_TOL:.1e}"
         if at[0] == 0:

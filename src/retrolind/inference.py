@@ -130,7 +130,11 @@ def preparation_operators(
 
 def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) -> np.ndarray:
     """Final states, one per operator of ops, of one batched run over duration, by
-    the backward (outcome-operator) equation or the predictive one, whose states keep unit trace."""
+    the backward (outcome-operator) equation or the predictive one, whose states keep unit trace.
+    A zero-length run returns ops symmetrized, unguarded: their constructors checked them at least
+    as strictly (but a DensityOperator given eig_tol above POSITIVITY_DRIFT_TOL escapes positivity)."""
+    if duration == 0.0:
+        return symmetrize(np.asarray(ops, dtype=np.complex128))
     times, stack = _linear_records(model, backward, ops, duration, config)
     return _guard(times, stack, check_trace=not backward)[-1]
 

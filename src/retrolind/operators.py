@@ -86,8 +86,8 @@ def trace(a):
 
 
 def symmetrize(a) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    return (a + dagger(a)) / 2.0
+    """(A + A^dagger) / 2, as A/2 + A^dagger/2, which no finite entry overflows."""
+    return a / 2.0 + dagger(a) / 2.0
 
 
 def hermitian_deviation(a):

@@ -49,9 +49,10 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="start at time 0"):
             Trajectory(np.array([0.5, 1.0]), (EXCITED, GROUND))
 
-    def test_times_must_increase(self):
+    @pytest.mark.parametrize("middle", [1.0, np.nan])
+    def test_times_must_increase(self, middle):
         with pytest.raises(ValueError, match="increase"):
-            Trajectory(np.array([0.0, 1.0, 1.0]), (EXCITED, GROUND, EXCITED))
+            Trajectory(np.array([0.0, middle, 1.0]), (EXCITED, GROUND, EXCITED))
 
     def test_states_are_one_read_only_array(self):
         traj = Trajectory(np.array([0.0, 1.0]), (EXCITED, GROUND))
@@ -477,6 +478,109 @@ class TestBlockGuardOrder:
         with pytest.raises(ValueError, match=r"^initial operator: eigenvalue -5\.000e-07 below -1\.0e-07$") as err:
             _drifting_block((MIXED, np.zeros((2, 2))), (np.diag([1.0 + 5e-7, -5e-7]), np.zeros((2, 2))))
         assert not isinstance(err.value, IntegrationError)
+
+
+_EIGVALSH = np.linalg.eigvalsh
+TAU = dynamics.POSITIVITY_DRIFT_TOL
+
+
+def _eigvalsh_guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarray:
+    """dynamics._guard with positivity decided by one eigvalsh pass alone:
+    the reference for its Cholesky certificate."""
+    drift = hermitian_deviation(stack)
+    drifted = drift > dynamics.HERMITICITY_STEP_TOL * scale_of(stack)
+    stack = symmetrize(stack)
+    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
+    low = _EIGVALSH(stack)[..., 0]
+    failed = drifted | (trace_dev > dynamics.TRACE_DRIFT_TOL) | (low < -TAU)
+    if failed.any():
+        at = np.unravel_index(np.argmax(failed), failed.shape)
+        if drifted[at]:
+            what = f"hermiticity drift {drift[at]:.3e} exceeds {dynamics.HERMITICITY_STEP_TOL:.1e} * scale"
+        elif trace_dev[at] > dynamics.TRACE_DRIFT_TOL:
+            what = f"trace off by {trace_dev[at]:.3e}"
+        else:
+            what = f"eigenvalue {low[at]:.3e} below -{TAU:.1e}"
+        if at[0] == 0:
+            raise ValueError(f"initial operator: {what}")
+        hint = "" if drifted[at] else "; step size too coarse"
+        raise IntegrationError(f"{what} at time {times[at[0]]:g}{hint}")
+    return stack
+
+
+def _outcome(guard, times: np.ndarray, stack: np.ndarray):
+    try:
+        return guard(times, stack, check_trace=False).tobytes()
+    except (ValueError, IntegrationError) as err:
+        return type(err), str(err)
+
+
+def _spectral_stack(rng: np.random.Generator, lows: np.ndarray, dim: int, scale: float) -> np.ndarray:
+    """Hermitian matrices with the given lowest eigenvalues, the others drawn
+    from [|low|, scale], each in a random unitary basis."""
+    g = rng.normal(size=(*lows.shape, dim, dim)) + 1j * rng.normal(size=(*lows.shape, dim, dim))
+    basis = np.linalg.qr(g)[0]
+    spectrum = rng.uniform(0.0, 1.0, size=(*lows.shape, dim)) * scale
+    spectrum = np.maximum(spectrum, np.abs(lows)[..., None])
+    spectrum[..., 0] = lows
+    return (basis * spectrum[..., None, :]) @ dagger(basis)
+
+
+class TestPositivityCertificate:
+    """The guard certifies positivity by one Cholesky factorisation and falls
+    back to eigvalsh only when that fails; its decision and message are those
+    of an eigvalsh-only guard away from round-off of -POSITIVITY_DRIFT_TOL."""
+
+    def test_decides_as_the_eigensolver_does(self, monkeypatch):
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: calls.append(name) or solve(a))
+        rng = np.random.default_rng(71)
+        passed = failed = 0
+        for _ in range(300):
+            dim, records = int(rng.integers(1, 9)), int(rng.integers(1, 61))
+            shape = (records,) if rng.random() < 0.3 else (records, int(rng.integers(1, 5)))
+            if rng.random() < 0.5:
+                # Unit scale, round-off near 1e-15: the lowest eigenvalues sit
+                # on either side of the tolerance, within a relative 1e-3 to 1e-6.
+                scale = 1.0
+                sides = rng.choice([-1.0, 1.0], size=shape, p=[0.99, 0.01]) * 10.0 ** -rng.integers(3, 7, size=shape)
+                lows = -TAU * (1.0 + sides)
+            else:
+                # Up to 1e300: the lowest eigenvalues are clearly negative or not.
+                scale = 10.0 ** rng.uniform(-3.0, 300.0)
+                lows = scale * rng.uniform(1e-3, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape, p=[0.01, 0.99])
+            stack = _spectral_stack(rng, lows, dim, scale)
+            times = np.arange(records, dtype=float)
+            expected = _outcome(_eigvalsh_guard, times, stack)
+            calls.clear()
+            assert _outcome(dynamics._guard, times, stack) == expected
+            if isinstance(expected, bytes):
+                passed += 1
+                assert calls == ["cholesky"]
+            else:
+                failed += 1
+        assert passed > 50 and failed > 50
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_non_finite_record_is_an_integration_error(self, entry):
+        stack = np.array([EXCITED, GROUND, GROUND])
+        stack[1, 0, 1] = stack[1, 1, 0] = entry
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError, match=r"^non-finite state at time 1; step size too coarse$"):
+            dynamics._guard(np.arange(3.0), stack, check_trace=False)
+
+    def test_a_non_finite_lowest_eigenvalue_is_an_integration_error(self):
+        # Finite, but the entry modulus overflows, so eigvalsh's scaling gives NaN.
+        z = 1.5e308 * (1.0 + 1.0j)
+        stack = np.array([EXCITED, [[1e308, z], [np.conj(z), 1e308]]])
+        assert np.isfinite(stack).all()
+        with np.errstate(over="ignore"), pytest.raises(IntegrationError, match=r"^eigenvalue nan below -1\.0e-07 at time 1"):
+            dynamics._guard(np.arange(2.0), stack, check_trace=False)
+
+    def test_a_finite_record_near_the_float_limit_stays_finite(self):
+        stack = np.array([EXCITED, np.diag([1.7e308, 1.0])]).astype(complex)
+        assert dynamics._guard(np.arange(2.0), stack, check_trace=False).tobytes() == stack.tobytes()
 
 
 def _random_operator(rng: np.random.Generator, dim: int) -> np.ndarray:

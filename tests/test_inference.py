@@ -308,13 +308,15 @@ class TestCollapseTimeChains:
                 expected = trace(forward @ backward[::-1]).real.tolist()
                 assert [p for _, p in collapse_time_sweep(scenario, i, j, 11)] == expected
 
-    def test_one_eigensolve_per_chain_direction(self, monkeypatch):
+    def test_one_cholesky_per_chain_direction(self, monkeypatch):
         scenario = demo_scenario(1.0, 1.0)
-        blocks, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: blocks.append(a.shape) or eigvalsh(a))
+        blocks = []
+        for name in ("cholesky", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: blocks.append((name, a.shape)) or solve(a))
         collapse_time_sweep(scenario, "+", "-", 5)
         # 4 segments of 250 steps, each recorded every 10th step after the start.
-        assert blocks == [(101, 2, 2), (101, 2, 2)]
+        assert blocks == [("cholesky", (101, 2, 2)), ("cholesky", (101, 2, 2))]
 
     @pytest.mark.parametrize(
         "drift, failure",
@@ -422,7 +424,21 @@ class TestHeldStepPlans:
 
         monkeypatch.setattr(dynamics, "Trajectory", CountingTrajectory)
         bayes_from_predictive(self._scenario(), 0)
-        assert len(built) == 2  # the preparations forward, the outcome operators backward
+        assert len(built) == 1  # the preparations forward; the outcome operators' run has length 0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_a_zero_length_run_is_the_guarded_one_without_an_integration(self, backward, monkeypatch):
+        scenario = self._scenario()
+        ops = list(scenario.pom.elements) if backward else [state.op for state in scenario.ensemble.states]
+        times, stack = dynamics._linear_records(scenario.model, backward, ops, 0.0, scenario.integrator)
+        guarded = dynamics._guard(times, stack, check_trace=not backward)[-1]
+        monkeypatch.setattr(dynamics, "rk4_integrate", _refuse_to_integrate)
+        monkeypatch.setattr(inference, "_guard", _refuse_to_integrate)
+        assert inference._finals(scenario.model, ops, 0.0, scenario.integrator, backward).tobytes() == guarded.tobytes()
+
+
+def _refuse_to_integrate(*args, **kwargs):
+    raise AssertionError("a zero-length run was integrated or guarded")
 
 
 class TestOutcomePairing:
