@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .operators import dagger, hermitian_deviation, scale_of, symmetrize, trace
+from .operators import _hermitian_excess, dagger, hermitian_deviation, symmetrize, trace
 from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL
 from .tolerances import RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -145,12 +146,7 @@ def retrodictive_rhs(model: LindbladModel, rho) -> np.ndarray:
     trace_dev = abs(trace(rho) - 1.0)
     if trace_dev > RETRODICTIVE_RHS_TRACE_TOL:
         raise ValueError(f"retrodictive state must have unit trace, off by {trace_dev:.3e}")
-    out = pom_premeasurement_rhs(model, rho)
-    gain = 0.0j
-    for a in model.jump_ops:
-        ad = dagger(a)
-        gain += trace(rho @ (ad @ a - a @ ad))
-    return out + 2.0 * gain * rho
+    return pom_premeasurement_rhs(model, rho) + 2.0 * trace(rho @ _jump_commutator_sum(model)) * rho
 
 
 def predictive_generator(model: LindbladModel) -> np.ndarray:
@@ -184,11 +180,10 @@ def _model_generator(model: LindbladModel) -> np.ndarray:
     """The model's predictive generator, built at the first call and then
     held by the model, read-only.  The model's own arrays are read-only too,
     so the generator cannot go stale."""
-    gen = model.__dict__.get("_generator")
+    gen = vars(model).get("_generator")
     if gen is None:
-        gen = predictive_generator(model)
+        gen = vars(model)["_generator"] = predictive_generator(model)
         gen.setflags(write=False)
-        object.__setattr__(model, "_generator", gen)
     return gen
 
 
@@ -196,25 +191,20 @@ def _held(model: LindbladModel, backward: bool, h: float, m: int, build: Callabl
     """The step plan S^m - I (see _linear) of the model's generator, or of
     its conjugate transpose if backward, that the model holds, keyed on
     (backward, h, m), or else build(), which the model then holds, read-only,
-    next to its generator.  A new one that would take the held bytes past
-    MAX_GENERATOR_BYTES first drops all those held, so a model holds at most
-    one generator's worth, and one past MAX_HELD_PLANS drops the least
-    recently used one."""
-    plans = model.__dict__.get("_plans")
-    if plans is None:
-        plans = {}
-        object.__setattr__(model, "_plans", plans)
+    next to its generator.  The least recently used plans are dropped until
+    the new one fits both MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model
+    holds at most one generator's worth; one larger than that is not held."""
+    plans = vars(model).setdefault("_plans", {})
     key = (backward, h, m)
     inc = plans.pop(key, None)
     if inc is None:
         inc = build()
-        if sum(held.nbytes for held in plans.values()) + inc.nbytes > MAX_GENERATOR_BYTES:
-            plans.clear()
         if inc.nbytes > MAX_GENERATOR_BYTES:
             return inc
         inc.setflags(write=False)
-        if len(plans) >= MAX_HELD_PLANS:
-            del plans[next(iter(plans))]
+        held = sum(other.nbytes for other in plans.values())
+        while plans and (len(plans) >= MAX_HELD_PLANS or held + inc.nbytes > MAX_GENERATOR_BYTES):
+            held -= plans.pop(next(iter(plans))).nbytes
     plans[key] = inc  # insertion order is the order of last use
     return inc
 
@@ -308,27 +298,25 @@ def _linear(rhs: _Rhs, h: float, plan: Callable[..., np.ndarray] | None = None) 
     column of x from one record to the next, and the step plan S^m - I,
     formed on the increments by _power_increment, keeps the round-off of a
     record that of one step.  S - I is one RK4 step of rhs on the identity
-    less the identity, built at most once per integration; plan(h, m, build),
-    if given, returns a plan from a store that outlives the integration (see
-    _held), or build().  The current stride's plan is kept at hand.
+    less the identity.  Every plan comes from the store plan(h, m, build)
+    (see _held): the model's, or by default one for this integration alone,
+    so a held S is built once.  The current stride's plan is kept at hand.
 
     S is built by _rk4_step on the rhs that rk4_integrate received, not by
     Horner's rule on G, because the benchmark's tracer counts RK4 steps as
     calls of that rhs; Horner's rule, and dropping rk4_integrate's private
     keyword, wait until the benchmark counts steps from the integrator."""
-    one: list[np.ndarray] = []
+    plan = plan or partial(_held, SimpleNamespace(), False)
     stride, jump = 0, None
 
     def increment(m: int, size: int) -> np.ndarray:
         def build() -> np.ndarray:
             if m > 1:
                 return _power_increment(increment(1, size), m)
-            if not one:
-                eye = np.eye(size, dtype=np.complex128)
-                one.append(_rk4_step(rhs, eye, h) - eye)
-            return one[0]
+            eye = np.eye(size, dtype=np.complex128)
+            return _rk4_step(rhs, eye, h) - eye
 
-        return build() if plan is None else plan(h, m, build)
+        return plan(h, m, build)
 
     def advance(x: np.ndarray, m: int) -> np.ndarray:
         nonlocal stride, jump
@@ -433,10 +421,9 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     The earliest failing record, and in it the lowest failing operator,
     raises its first failing check in that order; at time 0 no step has been
     taken, so a failure there is the initial operator's and raises ValueError."""
-    drift = hermitian_deviation(stack)
-    drifted = drift > HERMITICITY_STEP_TOL * scale_of(stack)
-    stack = symmetrize(stack)
-    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros_like(drift)
+    drifted = _hermitian_excess(stack, HERMITICITY_STEP_TOL)
+    raw, stack = stack, symmetrize(stack)
+    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros(drifted.shape)
     failed = drifted | (trace_dev > TRACE_DRIFT_TOL)
     if not failed.any():
         try:  # LAPACK may factor a NaN input without an error, into a NaN factor
@@ -450,7 +437,7 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     if failed.any():
         at = np.unravel_index(np.argmax(failed), failed.shape)
         if drifted[at]:
-            what = f"hermiticity drift {drift[at]:.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
+            what = f"hermiticity drift {4.0 * hermitian_deviation(raw[at] / 4.0):.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
         elif trace_dev[at] > TRACE_DRIFT_TOL:
             what = f"trace off by {trace_dev[at]:.3e}"
         elif not finite[at]:

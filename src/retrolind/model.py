@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .operators import hermitian_deviation, identity, min_eigenvalue, scale_of, trace
+from .operators import _hermitian_excess, hermitian_deviation, identity, min_eigenvalue, trace
 from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, MAX_GENERATOR_BYTES, MAX_RECORDED_BYTES, MAX_RK4_STEPS
 from .tolerances import POM_SUM_TOL, PRIOR_SUM_TOL, TRACE_TOL
 
@@ -93,21 +93,20 @@ def _shape_issues(field: str, a, dim: int | None) -> list[ValidationIssue]:
 
 
 def _hermitian_issues(field: str, a) -> list[ValidationIssue]:
-    scale = scale_of(a)
-    dev = hermitian_deviation(a)
-    if scale > 0.0 and dev > HERMITICITY_TOL * scale:
-        return [ValidationIssue(field, "not Hermitian within tolerance", dev)]
+    if _hermitian_excess(a, HERMITICITY_TOL):
+        return [ValidationIssue(field, "not Hermitian within tolerance", 4.0 * hermitian_deviation(np.asarray(a) / 4.0))]
     return []
+
+
+def _positive_issues(field: str, a, eig_tol: float) -> list[ValidationIssue]:
+    """No eigenvalue below -eig_tol; a NaN lowest eigenvalue fails too."""
+    low = min_eigenvalue(a)
+    return [] if low >= -eig_tol else [ValidationIssue(field, "not positive within tolerance", -low)]
 
 
 def _hermitian_positive_issues(field: str, a) -> list[ValidationIssue]:
     """Hermitian within HERMITICITY_TOL and no eigenvalue below -EIGENVALUE_TOL."""
-    issues = _hermitian_issues(field, a)
-    if not issues:
-        low = min_eigenvalue(a)
-        if low < -EIGENVALUE_TOL:
-            issues.append(ValidationIssue(field, "not positive within tolerance", -low))
-    return issues
+    return _hermitian_issues(field, a) or _positive_issues(field, a, EIGENVALUE_TOL)
 
 
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
@@ -124,19 +123,13 @@ def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
 
 
 def _density_issues(field: str, op, dim: int | None, eig_tol: float = EIGENVALUE_TOL) -> list[ValidationIssue]:
-    issues = _shape_issues(field, op, dim)
-    if issues:
-        return issues
-    issues += _hermitian_issues(field, op)
+    issues = _shape_issues(field, op, dim) or _hermitian_issues(field, op)
     if issues:
         return issues
     trace_dev = abs(trace(op) - 1.0)
     if trace_dev > TRACE_TOL:
         issues.append(ValidationIssue(field, "trace is not 1 within tolerance", trace_dev))
-    low = min_eigenvalue(op)
-    if low < -eig_tol:
-        issues.append(ValidationIssue(field, "not positive within tolerance", -low))
-    return issues
+    return issues + _positive_issues(field, op, eig_tol)
 
 
 def _pom_issues(elements, labels, dim: int | None) -> list[ValidationIssue]:

@@ -6,7 +6,8 @@ Hermiticity and distance metrics, and the eigenvalues of Hermitian matrices
 holding complex128 entries; hbar = 1 throughout the package.
 
 Relative tolerances in this package are measured against the largest entry
-modulus of the operand (see :func:`scale_of`).
+modulus of the operand (see :func:`scale_of`).  Hermiticity tests compare
+them on A/4, exact outside subnormals, where no finite entry's modulus overflows.
 
 The adjoint, trace, Hermiticity and eigenvalue helpers also take a stack of
 matrices over leading axes and then act on each matrix (the last two axes)
@@ -95,6 +96,14 @@ def hermitian_deviation(a):
     return _per_matrix(np.max(np.abs(a - dagger(a)), axis=(-2, -1)))
 
 
+def _hermitian_excess(a, tol):
+    """Whether A - A^dagger exceeds tol * scale_of(A), per matrix of a stack,
+    decided on A/4 so that no finite entry overflows; a message reports the
+    deviation as 4 * hermitian_deviation(A / 4), inf where it would."""
+    a = 0.25 * np.asarray(a)  # not a / 4, which numpy takes as a slower complex division
+    return hermitian_deviation(a) > tol * scale_of(a)
+
+
 def frobenius_distance(a, b) -> float:
     """Square root of the summed squared entry-modulus differences."""
     _require_same_dim(a, b, "frobenius_distance")
@@ -109,12 +118,10 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     matrix's own, for a stack); the symmetrization only absorbs round-off.
     """
     a = as_operator(a)
-    dev = np.asarray(hermitian_deviation(a))
-    bad = dev > EIGENSOLVER_HERMITICITY_TOL * np.asarray(scale_of(a))
-    if bad.any():
-        raise ValueError(
-            f"operator is not Hermitian: deviation {dev[bad].max():.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale"
-        )
+    bad = _hermitian_excess(a, EIGENSOLVER_HERMITICITY_TOL)
+    if np.any(bad):
+        dev = 4.0 * float(np.max(hermitian_deviation(a[bad] / 4.0)))
+        raise ValueError(f"operator is not Hermitian: deviation {dev:.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale")
     return np.linalg.eigvalsh(symmetrize(a))
 
 

@@ -578,6 +578,13 @@ class TestPositivityCertificate:
         with np.errstate(over="ignore"), pytest.raises(IntegrationError, match=r"^eigenvalue nan below -1\.0e-07 at time 1"):
             dynamics._guard(np.arange(2.0), stack, check_trace=False)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_drift_past_the_largest_modulus_is_hermiticity_drift(self):
+        z = 1.5e308 * (1.0 + 1.0j)
+        stack = np.array([EXCITED, [[1e308, z], [0.0, 1e308]]])
+        with pytest.raises(IntegrationError, match=r"^hermiticity drift inf exceeds 1\.0e-10 \* scale at time 1$"):
+            dynamics._guard(np.arange(2.0), stack, check_trace=False)
+
     def test_a_finite_record_near_the_float_limit_stays_finite(self):
         stack = np.array([EXCITED, np.diag([1.7e308, 1.0])]).astype(complex)
         assert dynamics._guard(np.arange(2.0), stack, check_trace=False).tobytes() == stack.tobytes()
@@ -785,6 +792,14 @@ class TestHeldStepPlans:
                 assert 0 < _held_bytes(model) <= budget if plans >= 1 else _held_bytes(model) == 0
                 fresh = _evolve_mode(mode, LindbladModel(model.dim, model.hamiltonian, model.jump_ops), rho, t)
                 assert run.states.tobytes() == fresh.states.tobytes()
+
+    def test_a_bare_linear_run_builds_its_step_matrix_once(self, monkeypatch):
+        builds, step = [], dynamics._rk4_step
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or step(*args))
+        gen = predictive_generator(random_model(np.random.default_rng(62), dim=2))
+        run = rk4_integrate(lambda v: gen @ v, EXCITED.reshape(-1), 1.0, IntegratorConfig(23, 10), linear=True)
+        assert np.diff(np.rint(run.times * 23)).tolist() == [10, 10, 3]
+        assert builds == [1]
 
 
 def _staged_retrodictive(model, rho: np.ndarray, duration: float, config: IntegratorConfig) -> Trajectory:

@@ -414,6 +414,18 @@ class TestHeldStepPlans:
             dynamics._held(model, False, h, 1, lambda: np.zeros((9, 9), dtype=complex))
         assert [h for _, h, _ in vars(model)["_plans"]] == [3.0, 1.0, 4.0]
 
+    def test_the_least_recently_used_plans_are_dropped_until_a_new_one_fits_the_bytes(self, monkeypatch):
+        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
+        monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", 2.5 * 9 * 9 * 16)
+        model = self._scenario().model
+        for h in (1.0, 2.0, 3.0):
+            dynamics._held(model, False, h, 1, lambda: np.zeros((9, 9), dtype=complex))
+        assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
+        # A plan larger than the whole budget is not held and drops none.
+        big = dynamics._held(model, False, 4.0, 1, lambda: np.zeros((18, 18), dtype=complex))
+        assert big.shape == (18, 18) and big.flags.writeable
+        assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
+
     def test_a_query_builds_one_trajectory_per_run(self, monkeypatch):
         built = []
 

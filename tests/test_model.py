@@ -17,6 +17,7 @@ from retrolind import (
     validate_scenario_data,
 )
 from retrolind.atom import demo_scenario
+from retrolind.model import _hermitian_positive_issues
 
 EXCITED_PROJECTOR = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -136,6 +137,24 @@ class TestPom:
         rest = np.eye(2) - too_big
         with pytest.raises(ValueError, match="positive"):
             Pom((too_big, rest), ("a", "b"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEntriesNearTheFloatLimit:
+    """Finite entries whose modulus passes the largest double: Hermiticity and
+    positivity are still decided, with no overflow warning."""
+
+    Z = 1.5e308 * (1.0 + 1.0j)
+
+    def test_an_indefinite_operator_is_not_positive(self):
+        op = np.array([[1e308, self.Z], [np.conj(self.Z), 1e308]])
+        issues = _hermitian_positive_issues("outcome operator", op)
+        assert [issue.message for issue in issues] == ["not positive within tolerance"]
+
+    def test_a_non_hermitian_operator_is_not_hermitian(self):
+        op = np.array([[1e308, self.Z], [0.0, 1e308]])
+        issues = _hermitian_positive_issues("outcome operator", op)
+        assert [issue.message for issue in issues] == ["not Hermitian within tolerance"]
 
 
 class TestPreparationEnsemble:

@@ -223,6 +223,12 @@ class TestMinEigenvalue:
             top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
             assert abs(min_eigenvalue(h) - ref) <= 1e-10 * top
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_hermitian_past_the_largest_modulus(self):
+        z = 1.5e308 * (1.0 + 1.0j)  # finite parts, a modulus past the largest double
+        with pytest.raises(ValueError, match="^operator is not Hermitian: deviation inf exceeds"):
+            min_eigenvalue(np.array([[1e308, z], [0.0, 1e308]]))
+
 
 class TestStacks:
     """On a stack of matrices each helper acts on every matrix at once and
