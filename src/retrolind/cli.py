@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse failure, 2 usage or validation error,
 3 internal consistency failure (pipeline disagreement, demo FAIL),
-4 integration failure.
+4 integration failure.  Commands fail by raising, and main alone maps each
+exception to its exit code and one stderr line (an invalid scenario lists
+every issue); a command line argparse rejects also exits 2 on one line.
 """
 
 from __future__ import annotations
@@ -45,8 +47,26 @@ EXIT_CONSISTENCY = 3
 EXIT_INTEGRATION = 4
 
 
+class _ConsistencyFailure(Exception):
+    """Route disagreement, sweep spread or demo deviation beyond PIPELINE_TOL."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A command line argparse rejects is a usage error, on one line."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
+
+
+def _routes(scenario, outcome: str):
+    """The posterior by the retrodictive route, its Bayes cross-check by the
+    predictive route, and their largest difference."""
+    posterior = retrodict_preparation_probs(scenario, outcome)
+    crosscheck = bayes_from_predictive(scenario, outcome)
+    return posterior, crosscheck, float(np.max(np.abs(posterior.probs - crosscheck.probs)))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -56,23 +76,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_retrodict(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    posterior = retrodict_preparation_probs(scenario, args.outcome)
-    crosscheck = bayes_from_predictive(scenario, args.outcome)
-    max_diff = float(np.max(np.abs(posterior.probs - crosscheck.probs)))
+    posterior, crosscheck, max_diff = _routes(load_scenario(args.scenario), args.outcome)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "outcome": args.outcome,
-                    "labels": list(posterior.labels),
-                    "posterior": [float(p) for p in posterior.probs],
-                    "bayes_crosscheck": [float(p) for p in crosscheck.probs],
-                    "max_abs_difference": max_diff,
-                },
-                indent=2,
-            )
-        )
+        report = {
+            "outcome": args.outcome,
+            "labels": list(posterior.labels),
+            "posterior": [float(p) for p in posterior.probs],
+            "bayes_crosscheck": [float(p) for p in crosscheck.probs],
+            "max_abs_difference": max_diff,
+        }
+        print(json.dumps(report, indent=2))
     else:
         print(f"# outcome: {args.outcome}")
         print(f"# max_abs_difference: {_fmt(max_diff)}")
@@ -80,12 +93,7 @@ def cmd_retrodict(args: argparse.Namespace) -> int:
         for label, p_retro in posterior.items():
             print(f"{label},{_fmt(p_retro)},{_fmt(crosscheck[label])}")
     if max_diff > PIPELINE_TOL:
-        print(
-            f"consistency failure: inference routes disagree by {max_diff:.3e} "
-            f"(tolerance {PIPELINE_TOL:.1e})",
-            file=sys.stderr,
-        )
-        return EXIT_CONSISTENCY
+        raise _ConsistencyFailure(f"inference routes disagree by {max_diff:.3e} (tolerance {PIPELINE_TOL:.1e})")
     return EXIT_OK
 
 
@@ -130,30 +138,23 @@ def _parse_inline_matrix(text: str):
 def cmd_evolve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     initial = _resolve_initial(scenario, args.mode, args.initial)
-    duration = scenario.duration
-    config = scenario.integrator
-    if args.mode == "predictive":
-        trajectory = evolve_predictive(scenario.model, initial, duration, config)
-        description = "t - t_p (laboratory time since preparation)"
-    elif args.mode == "pom-backward":
-        trajectory = evolve_pom_backward(scenario.model, initial, duration, config)
-        description = "tau = t_m - t (premeasurement time)"
-    else:
-        trajectory = evolve_retrodictive(scenario.model, initial, duration, config)
-        description = "tau = t_m - t (premeasurement time)"
+    evolve, description = {
+        "predictive": (evolve_predictive, "t - t_p (laboratory time since preparation)"),
+        "pom-backward": (evolve_pom_backward, "tau = t_m - t (premeasurement time)"),
+        "retrodictive": (evolve_retrodictive, "tau = t_m - t (premeasurement time)"),
+    }[args.mode]
+    trajectory = evolve(scenario.model, initial, scenario.duration, scenario.integrator)
     try:
         write_trajectory_csv(args.out, trajectory, description)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"wrote {len(trajectory)} states to {args.out}")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--points must be at least 2")
     scenario = load_scenario(args.scenario)
     points = collapse_time_sweep(scenario, args.preparation, args.outcome, args.points)
     values = [p for _, p in points]
@@ -164,27 +165,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for t, p in points:
         print(f"{_fmt(t)},{_fmt(p)}")
     if spread > PIPELINE_TOL:
-        print(
-            f"consistency failure: collapse-time spread {spread:.3e} exceeds {PIPELINE_TOL:.1e}",
-            file=sys.stderr,
-        )
-        return EXIT_CONSISTENCY
+        raise _ConsistencyFailure(f"collapse-time spread {spread:.3e} exceeds {PIPELINE_TOL:.1e}")
     return EXIT_OK
 
 
 def cmd_demo_atom(args: argparse.Namespace) -> int:
     if args.gamma <= 0.0:
-        print("error: --gamma must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--gamma must be positive")
     if args.duration < 0.0:
-        print("error: --duration must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--duration must be >= 0")
     scenario = demo_scenario(args.gamma, args.duration)
-    posterior = retrodict_preparation_probs(scenario, "+")
-    crosscheck = bayes_from_predictive(scenario, "+")
+    posterior, _, pipeline_diff = _routes(scenario, "+")
     expected = analytic_preparation_probability(args.gamma, args.duration)
     posterior_err = abs(posterior["+"] - expected)
-    pipeline_diff = float(np.max(np.abs(posterior.probs - crosscheck.probs)))
 
     reference = analytic_retrodictive_state(args.gamma, args.duration)
     evolved = evolve_retrodictive(
@@ -203,13 +196,13 @@ def cmd_demo_atom(args: argparse.Namespace) -> int:
     worst = max(posterior_err, pipeline_diff, state_err)
     if worst > PIPELINE_TOL:
         print(f"FAIL (worst deviation {worst:.3e} > {PIPELINE_TOL:.1e})")
-        return EXIT_CONSISTENCY
+        raise _ConsistencyFailure(f"demo deviates from the closed forms by {worst:.3e} (tolerance {PIPELINE_TOL:.1e})")
     print(f"PASS (worst deviation {worst:.3e} <= {PIPELINE_TOL:.1e})")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="retrolind",
         description="Retrodictive master-equation toolkit: evolve outcome operators "
         "backward from a measurement and infer what was prepared.",
@@ -268,13 +261,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ScenarioValidationError as exc:
-        print("scenario is invalid:", file=sys.stderr)
-        for line in exc.report.lines():
-            print(f"  {line}", file=sys.stderr)
+        print("scenario is invalid:", *(f"  {line}" for line in exc.report.lines()), sep="\n", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except _ConsistencyFailure as exc:
+        print(f"consistency failure: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

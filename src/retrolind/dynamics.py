@@ -57,7 +57,6 @@ __all__ = [
     "evolve_retrodictive",
 ]
 
-_DEFAULT_CONFIG = IntegratorConfig()
 _Rhs = Callable[[np.ndarray], np.ndarray]
 _Advance = Callable[[np.ndarray, int], np.ndarray]  # x, m -> the state m RK4 steps on
 
@@ -221,7 +220,7 @@ def rk4_integrate(
     rhs: Callable[[np.ndarray], np.ndarray],
     x0,
     duration: float,
-    config: IntegratorConfig = _DEFAULT_CONFIG,
+    config: IntegratorConfig = IntegratorConfig(),
     linear: bool = False,
     _advance: Callable[[_Rhs, float], _Advance] | None = None,
 ) -> Trajectory:
@@ -381,30 +380,48 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
     return advance
 
 
-def _records(rhs: _Rhs | None, ops, duration: float, config: IntegratorConfig, advance=None):
-    """The times and the unguarded records of one run of ops, one (d, d)
-    operator or an (n, d, d) stack of them, shaped (records, *ops.shape).
-    rhs acts on the layout chosen here alone: the row-major-flattened
-    operator, or those of the stack as (d^2, n) columns.  advance is
-    rk4_integrate's _advance; without one, rhs is stepped stage by stage."""
-    ops = np.asarray(ops)
-    x0 = ops.reshape(-1) if ops.ndim == 2 else ops.reshape(len(ops), -1).T
-    flat = rk4_integrate(rhs, x0, duration, config, _advance=advance)
-    records = len(flat)
-    return flat.times, np.swapaxes(flat.states.reshape(records, len(x0), -1), 1, 2).reshape(records, *ops.shape)
+def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfig):
+    """ops, one (d, d) operator or an (n, d, d) stack, carried over consecutive
+    segments by the "predictive", "pom-backward" or "retrodictive" equation,
+    each from the last one's symmetrized final: the linear ones on the step
+    plans the model holds (see _linear and _held), the retrodictive one in a
+    Krylov basis (see _krylov), each on the row-major-flattened operator or
+    the stack's as (d^2, n) columns.  Returns the times along the run, its
+    records (records, *ops.shape), guarded in one _guard pass, and the indices
+    of the start and of each segment's end.  A segment that stops being finite
+    ends the run after that pass, so the earliest failure is the one raised."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    backward = mode == "pom-backward"
+    if mode == "retrodictive":
+        rhs, advance = None, partial(_krylov, model)
+    else:
 
+        def rhs(v: np.ndarray) -> np.ndarray:
+            gen = _model_generator(model)
+            return (gen.conj().T if backward else gen) @ v
 
-def _linear_records(model: LindbladModel, backward: bool, ops, duration: float, config: IntegratorConfig):
-    """_records of ops by the model's predictive generator G, or by its
-    conjugate transpose (the pom_backward_generator) if backward, on the
-    step plans the model holds.  G is looked up only to build a plan, so a
-    zero-length run, or one whose plans are held, builds no d^4 generator."""
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        gen = _model_generator(model)
-        return (gen.conj().T if backward else gen) @ v
-
-    return _records(rhs, ops, duration, config, partial(_linear, plan=partial(_held, model, backward)))
+        advance = partial(_linear, plan=partial(_held, model, backward))
+    times, records, ends, failure = [], [], [0], None
+    start = 0.0
+    for segment in segments:
+        op = symmetrize(run[-1]) if records else ops  # symmetrized only if a segment follows
+        x0 = op.reshape(-1) if op.ndim == 2 else op.reshape(len(op), -1).T
+        try:
+            flat = rk4_integrate(rhs, x0, float(segment), config, _advance=advance)
+        except IntegrationError as exc:
+            failure = exc
+            break
+        run = np.swapaxes(flat.states.reshape(len(flat), len(x0), -1), 1, 2).reshape(-1, *ops.shape)
+        times.append(start + flat.times[1:] if records else flat.times)  # a later run starts at a recorded final
+        records.append(run[1:] if records else run)
+        ends.append(ends[-1] + len(run) - 1)
+        start += segment
+    parts = (times or [np.zeros(1)], records or [ops[None]])  # one run is not copied
+    times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
+    records = _guard(times, records, check_trace=not backward)
+    if failure:
+        raise failure
+    return times, records, ends
 
 
 def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarray:
@@ -423,7 +440,8 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
     taken, so a failure there is the initial operator's and raises ValueError."""
     drifted = _hermitian_excess(stack, HERMITICITY_STEP_TOL)
     raw, stack = stack, symmetrize(stack)
-    trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros(drifted.shape)
+    with np.errstate(over="ignore"):  # an overflowing trace is inf, which fails the trace check
+        trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros(drifted.shape)
     failed = drifted | (trace_dev > TRACE_DRIFT_TOL)
     if not failed.any():
         try:  # LAPACK may factor a NaN input without an error, into a NaN factor
@@ -455,19 +473,18 @@ def evolve_predictive(
     model: LindbladModel,
     rho_p: DensityOperator,
     duration: float,
-    config: IntegratorConfig = _DEFAULT_CONFIG,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Evolve a prepared state forward over [0, duration] in laboratory time."""
     _check_model_operator(model, rho_p.op)
-    times, stack = _linear_records(model, False, rho_p.op, duration, config)
-    return Trajectory(times, _guard(times, stack, check_trace=True))
+    return Trajectory(*_run(model, "predictive", rho_p.op, [duration], config)[:2])
 
 
 def evolve_pom_backward(
     model: LindbladModel,
     pi_m,
     duration: float,
-    config: IntegratorConfig = _DEFAULT_CONFIG,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Evolve an outcome operator backward from the measurement.
 
@@ -476,15 +493,14 @@ def evolve_pom_backward(
     """
     pi_m = _check_model_operator(model, pi_m)
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
-    times, stack = _linear_records(model, True, pi_m, duration, config)
-    return Trajectory(times, _guard(times, stack, check_trace=False))
+    return Trajectory(*_run(model, "pom-backward", pi_m, [duration], config)[:2])
 
 
 def evolve_retrodictive(
     model: LindbladModel,
     rho_m: DensityOperator,
     duration: float,
-    config: IntegratorConfig = _DEFAULT_CONFIG,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Evolve a retrodictive state backward from the measurement.
 
@@ -493,5 +509,4 @@ def evolve_retrodictive(
     term keeps every recorded state unit-trace.
     """
     _check_model_operator(model, rho_m.op)
-    times, stack = _records(None, rho_m.op, duration, config, advance=partial(_krylov, model))
-    return Trajectory(times, _guard(times, stack, check_trace=True))
+    return Trajectory(*_run(model, "retrodictive", rho_m.op, [duration], config)[:2])

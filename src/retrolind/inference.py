@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, _check_model_operator, _guard, _linear_records
+from .dynamics import IntegrationError, _run
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -30,7 +30,7 @@ from .model import (
 )
 from .operators import as_operator, symmetrize, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
-from .tolerances import RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
+from .tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS, RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
 
 __all__ = [
     "NEGATIVE_PROB_TOL",
@@ -42,9 +42,6 @@ __all__ = [
     "bayes_from_predictive",
     "collapse_time_sweep",
 ]
-
-_DEFAULT_CONFIG = IntegratorConfig()
-
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
@@ -111,14 +108,14 @@ def preparation_operators(
     ensemble: PreparationEnsemble,
     model: LindbladModel,
     t_minus_tp: float,
-    config: IntegratorConfig = _DEFAULT_CONFIG,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> list[np.ndarray]:
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
     if t_minus_tp < 0.0:
         raise ValueError(f"time offset must be >= 0, got {t_minus_tp}")
-    _check_model_operator(model, ensemble.states[0].op)  # the ensemble's states share one shape
-    states = [st.op for st in ensemble.states]
-    finals = _finals(model, states, t_minus_tp, config, backward=False)
+    if ensemble.dim != model.dim:  # the ensemble's states share one shape
+        raise ValueError(f"operator shape {ensemble.states[0].op.shape} does not match model dimension {model.dim}")
+    finals = _finals(model, [st.op for st in ensemble.states], t_minus_tp, config, backward=False)
     ops = [prior * final for prior, final in zip(ensemble.priors, finals)]
     total_trace = math.fsum(trace(op).real for op in ops)
     if abs(total_trace - 1.0) > PREPARATION_TRACE_TOL:
@@ -135,8 +132,7 @@ def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) 
     as strictly (but a DensityOperator given eig_tol above POSITIVITY_DRIFT_TOL escapes positivity)."""
     if duration == 0.0:
         return symmetrize(np.asarray(ops, dtype=np.complex128))
-    times, stack = _linear_records(model, backward, ops, duration, config)
-    return _guard(times, stack, check_trace=not backward)[-1]
+    return _run(model, "pom-backward" if backward else "predictive", ops, [duration], config)[1][-1]
 
 
 # The helpers below take Scenario-owned operators, validated when the
@@ -153,30 +149,6 @@ def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float
     """Outcome operators carried backward from t_m to the collapse time in one batched run."""
     ops = [scenario.pom.elements[j] for j in outcome_indices]
     return _finals(scenario.model, ops, scenario.t_m - collapse_time, scenario.integrator, backward=True)
-
-
-def _chain(scenario: Scenario, op: np.ndarray, segments, backward: bool) -> np.ndarray:
-    """op at the start of the first segment and at the end of each, carried
-    from segment to segment by one generator, each segment from the last
-    one's symmetrized final.  The records of all segments are guarded in one
-    pass, at their times along the chain (t - t_p forward, t_m - t backward);
-    a segment that stops being finite first has the records before it
-    guarded, so the earliest failure is the one raised."""
-    check_trace = not backward
-    times, records, ends = [np.zeros(1)], [np.asarray(op, dtype=np.complex128)[None]], [0]
-    start = 0.0
-    for segment in segments:
-        try:
-            run_times, run = _linear_records(scenario.model, backward, op, float(segment), scenario.integrator)
-        except IntegrationError:
-            _guard(np.concatenate(times), np.concatenate(records), check_trace)
-            raise
-        times.append(start + run_times[1:])
-        records.append(run[1:])
-        ends.append(ends[-1] + len(run) - 1)
-        start += segment
-        op = symmetrize(run[-1])
-    return _guard(np.concatenate(times), np.concatenate(records), check_trace)[ends]
 
 
 def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> float:
@@ -267,14 +239,22 @@ def collapse_time_sweep(
     The continuous equations make this constant in t; the spread across the
     returned points measures integration error.  The state is carried
     forward from t_p and the outcome operator backward from t_m, each from
-    one collapse time to the next.
+    one collapse time to the next, in one guarded run (dynamics._run).  Such
+    a run takes at least n_times - 1 RK4 steps and records n_times or more
+    (d, d) operators, so n_times is held within MAX_RK4_STEPS and
+    MAX_RECORDED_BYTES before anything is allocated.
     """
     if n_times < 2:
         raise ValueError(f"need at least 2 collapse times, got {n_times}")
+    if n_times > MAX_RK4_STEPS or n_times * scenario.model.dim**2 * 16 > MAX_RECORDED_BYTES:
+        raise ValueError(
+            f"{n_times} collapse times exceed the work budget of {MAX_RK4_STEPS:.0e} RK4 steps and "
+            f"{MAX_RECORDED_BYTES:.0f} recorded bytes per direction"
+        )
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")
     j = _label_index(scenario.pom.labels, outcome, "outcome")
     times = np.linspace(scenario.t_p, scenario.t_m, n_times)
     segments = np.diff(times)
-    forward = _chain(scenario, scenario.ensemble.states[i].op, segments, backward=False)
-    backward = _chain(scenario, scenario.pom.elements[j], segments[::-1], backward=True)[::-1]
-    return list(zip(times.tolist(), trace(forward @ backward).real.tolist()))
+    _, forward, ahead = _run(scenario.model, "predictive", scenario.ensemble.states[i].op, segments, scenario.integrator)
+    _, backward, back = _run(scenario.model, "pom-backward", scenario.pom.elements[j], segments[::-1], scenario.integrator)
+    return list(zip(times.tolist(), trace(forward[ahead] @ backward[back[::-1]]).real.tolist()))

@@ -223,11 +223,11 @@ def parse_scenario(doc: dict) -> Scenario:
     integrator_doc = doc.get("integrator", {})
     if not isinstance(integrator_doc, dict):
         raise ScenarioFormatError("integrator: expected an object")
-    unknown = integrator_doc.keys() - {"steps_per_unit_time", "record_every"}
+    keys = ("steps_per_unit_time", "record_every")  # each defaults to IntegratorConfig's
+    unknown = integrator_doc.keys() - set(keys)
     if unknown:
         raise ScenarioFormatError(f"integrator: unknown keys: {', '.join(sorted(unknown))}")
-    steps = _require_int(integrator_doc.get("steps_per_unit_time", 1000), "integrator.steps_per_unit_time")
-    record = _require_int(integrator_doc.get("record_every", 10), "integrator.record_every")
+    steps, record = (_require_int(integrator_doc.get(k, getattr(IntegratorConfig, k)), f"integrator.{k}") for k in keys)
 
     try:
         return Scenario(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from retrolind import ProbabilityTable, cli
 from retrolind.cli import (
     EXIT_CONSISTENCY,
     EXIT_INTEGRATION,
@@ -18,6 +19,14 @@ from retrolind.cli import (
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 DEMO = str(SCENARIOS_DIR / "atom_demo.json")
 HALF_LIFE_WINDOW = 2.0 * math.log(2.0)
+
+
+def _stiff(tmp_path) -> str:
+    """atom_demo.json with a jump amplitude of 300, which puts h * lambda near
+    -180, far outside RK4's stability region."""
+    path = tmp_path / "stiff.json"
+    path.write_text((SCENARIOS_DIR / "atom_demo.json").read_text().replace("0.7071067811865476", "300.0"))
+    return str(path)
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -139,6 +148,15 @@ class TestValidate:
         assert proc.returncode == EXIT_PARSE
         assert proc.stderr == f"parse error: {path}: JSON nested too deeply to parse\n"
 
+    def test_overflowing_trace_is_reported_without_a_warning(self, tmp_path):
+        doc = json.loads((SCENARIOS_DIR / "atom_demo.json").read_text())
+        doc["ensemble"][0]["state"] = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+        path = tmp_path / "huge_trace.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("validate", str(path))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "scenario is invalid:\n  ensemble.states[0]: trace is not 1 within tolerance (deviation inf)\n"
+
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"dim": 2, "label": "caf\u00e9"}'.encode("latin-1"))
@@ -174,12 +192,17 @@ class TestRetrodict:
         assert "known labels" in capsys.readouterr().err
 
     def test_non_finite_state_is_one_line(self, tmp_path):
-        # A jump amplitude of 300 puts h * lambda near -180, far outside RK4's stability region.
-        path = tmp_path / "stiff.json"
-        path.write_text((SCENARIOS_DIR / "atom_demo.json").read_text().replace("0.7071067811865476", "300.0"))
-        proc = _run_cli("retrodict", str(path), "--outcome", "+")
+        proc = _run_cli("retrodict", _stiff(tmp_path), "--outcome", "+")
         assert proc.returncode == EXIT_INTEGRATION
         assert proc.stderr.splitlines() == ["integration failure: non-finite state at step 49 of 1387"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_route_disagreement_is_a_consistency_failure(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "bayes_from_predictive", lambda scenario, outcome: ProbabilityTable(("+", "-"), (0.5, 0.5)))
+        assert main(["retrodict", DEMO, "--outcome", "+", "--format", fmt]) == EXIT_CONSISTENCY
+        captured = capsys.readouterr()
+        assert "max_abs_difference" in captured.out  # the report is still printed
+        assert captured.err == "consistency failure: inference routes disagree by 2.500e-01 (tolerance 1.0e-06)\n"
 
 
 class TestPredict:
@@ -246,6 +269,14 @@ class TestEvolve:
         assert "step size" not in err
         assert not out_path.exists()
 
+    def test_failing_initial_operator_wins_over_an_integration_failure(self, tmp_path):
+        # The run would also stop being finite at step 3; the initial operator is reported.
+        proc = _run_cli("evolve", _stiff(tmp_path), "--mode", "retrodictive", "--initial",
+                        "[[[1e-3,0],[0,0]],[[0,0],[-5e-10,0]]]", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: initial operator: eigenvalue -5.000e-07 below -1.0e-07\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_finite_initial_is_one_line(self, tmp_path):
         out_path = tmp_path / "x.csv"
         proc = _run_cli("evolve", DEMO, "--mode", "retrodictive", "--initial",
@@ -282,6 +313,23 @@ class TestSweep:
                      "--points", "3"])
         assert code == EXIT_USAGE
 
+    def test_points_over_the_work_budget(self):
+        proc = _run_cli("sweep", DEMO, "--preparation", "+", "--outcome", "+", "--points", str(10**13))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: 10000000000000 collapse times exceed the work budget of 1e+07 RK4 steps "
+            "and 1073741824 recorded bytes per direction\n"
+        )
+
+    def test_spread_is_a_consistency_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "collapse_time_sweep", lambda *args: [(0.0, 0.5), (1.0, 0.5 + 2e-6)])
+        code = main(["sweep", DEMO, "--preparation", "+", "--outcome", "+", "--points", "2"])
+        assert code == EXIT_CONSISTENCY
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("# max_spread: 1.99999")
+        assert captured.err == "consistency failure: collapse-time spread 2.000e-06 exceeds 1.0e-06\n"
+
 
 class TestDemoAtom:
     def test_passes_against_closed_forms(self, capsys):
@@ -303,6 +351,14 @@ class TestDemoAtom:
 
     def test_rejects_negative_duration(self, capsys):
         assert main(["demo-atom", "--gamma", "1.0", "--duration", "-1.0"]) == EXIT_USAGE
+
+    def test_fail_is_a_consistency_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "analytic_preparation_probability", lambda gamma, window: 0.5)
+        code = main(["demo-atom", "--gamma", "1.0", "--duration", str(HALF_LIFE_WINDOW)])
+        assert code == EXIT_CONSISTENCY
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "FAIL (worst deviation 2.500e-01 > 1.0e-06)"
+        assert captured.err == "consistency failure: demo deviates from the closed forms by 2.500e-01 (tolerance 1.0e-06)\n"
 
     def test_step_count_too_large_for_a_float(self):
         proc = _run_cli("demo-atom", "--gamma", "1", "--duration", "1e308")
@@ -333,6 +389,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as err:
             main(["evolve", DEMO, "--mode", "sideways", "--initial", "+", "--out", "x"])
         assert err.value.code == 2
+
+    def test_a_rejected_command_line_is_one_line(self):
+        proc = _run_cli("retrodict", DEMO, "--outcome", "+", "--format", "xml")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            "retrolind retrodict: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')\n"
+        )
 
 
 class TestConsoleEntry:

@@ -1,12 +1,16 @@
-"""Property test of the command line on mutated copies of the shipped scenario.
+"""Property tests of the command line on mutated copies of the shipped
+scenario and on mutated command lines.
 
 Every run must end in a documented exit code, never in an exception, and say
-why on stderr when it fails.  A scenario the loader accepts must also pass
-validate_scenario: the loader builds scenarios through the constructors
-alone, so it relies on the constructors and the validator agreeing.
+why on stderr when it fails: on a mutated command line, in exactly one line,
+except for the invalid-scenario report, which lists every issue.  A scenario
+the loader accepts must also pass validate_scenario: the loader builds
+scenarios through the constructors alone, so it relies on the constructors
+and the validator agreeing.
 
 The ranges are bounded (t_m <= 3, steps_per_unit_time <= 2000, dim <= 4,
---points <= 12) so that no example runs long.
+--points <= 12 or refused by the work budget, a demo window of at most 1 or
+refused) so that no example runs long.
 """
 
 import contextlib
@@ -16,14 +20,15 @@ import json
 import math
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from retrolind.cli import main
 from retrolind.model import validate_scenario
 from retrolind.scenario_io import parse_scenario
 
-DEMO_DOC = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "atom_demo.json").read_text())
+SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+DEMO_DOC = json.loads((SCENARIOS_DIR / "atom_demo.json").read_text())
 LABELS = st.sampled_from(["+", "-", "x"])
 JUNK = st.sampled_from([None, True, "x", [], {}, [1.0], [[1.0, 0.0]], [[[1.0]]]])
 NUMBERS = st.one_of(
@@ -233,3 +238,61 @@ def test_cli_contract_on_mutated_scenarios(tmp_path_factory, doc, command):
     except ValueError:
         return
     assert validate_scenario(scenario).ok
+
+
+SHIPPED = st.sampled_from(["atom_demo.json", "atom_demo.json", "invalid_priors.json", "malformed.json"])
+ARG_LABELS = st.sampled_from(["+", "-", "x", ""])
+POINTS = st.sampled_from(["0", "1", "2", "12", str(10**13), "-3", "1.5"])
+RATES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "0.5", "1", "1", "x"])
+WINDOWS = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "0.5", "1", "1", "1e300"])
+ARGVS = st.one_of(
+    SHIPPED.map(lambda f: ["validate", f]),
+    st.tuples(SHIPPED, ARG_LABELS, st.sampled_from(["csv", "json", "csv", "json", "xml", ""])).map(
+        lambda t: ["retrodict", t[0], "--outcome", t[1], "--format", t[2]]
+    ),
+    st.tuples(SHIPPED, ARG_LABELS).map(lambda t: ["predict", t[0], "--preparation", t[1]]),
+    st.tuples(SHIPPED, ARG_LABELS, ARG_LABELS, POINTS).map(
+        lambda t: ["sweep", t[0], "--preparation", t[1], "--outcome", t[2], "--points", t[3]]
+    ),
+    st.tuples(RATES, WINDOWS).map(lambda t: ["demo-atom", "--gamma", t[0], "--duration", t[1]]),
+    st.tuples(SHIPPED, st.sampled_from(["predictive", "pom-backward", "retrodictive", "backward"]), ARG_LABELS).map(
+        lambda t: ["evolve", t[0], "--mode", t[1], "--initial", t[2], "--out", "OUT"]
+    ),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, perhaps with one argument dropped or an unknown option added."""
+    argv = draw(ARGVS)
+    edit = draw(st.sampled_from(["none", "none", "drop", "unknown"]))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "unknown":
+        argv.append("--verbose")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=10_000)
+@given(argv=command_lines())
+@example(argv=["sweep", "atom_demo.json", "--preparation", "+", "--outcome", "+", "--points", str(10**13)])
+@example(argv=["demo-atom", "--gamma", "nan", "--duration", "inf"])
+@example(argv=["retrodict", "invalid_priors.json", "--outcome", "+", "--format", "json"])
+def test_one_line_reason_on_mutated_command_lines(tmp_path_factory, argv):
+    out_path = tmp_path_factory.mktemp("argv") / "trajectory.csv"
+    argv = [str(SCENARIOS_DIR / a) if a.endswith(".json") else str(out_path) if a == "OUT" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    reason = err.getvalue()
+    if code == 0:
+        assert reason == ""
+    elif reason.startswith("scenario is invalid:\n"):
+        assert code == 2 and all(line.startswith("  ") for line in reason.splitlines()[1:])
+    else:
+        assert reason.count("\n") == 1 and reason.endswith("\n") and len(reason) > 1, reason
+    assert "Traceback" not in reason

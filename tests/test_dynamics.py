@@ -426,12 +426,11 @@ class TestRecordedStateGuards:
 
 def _drifting_block(*columns: tuple[np.ndarray, np.ndarray]) -> Trajectory:
     """A guarded run of a stack of (start, rate) operators that move in a straight
-    line, recorded at times 0, 1, 2 and 3, with every guard on.  The rate is
-    given in the integrator's layout, one flattened operator per column."""
+    line, recorded at times 0, 1, 2 and 3, with every guard on."""
     ops = np.stack([start for start, _ in columns]).astype(complex)
-    rate = np.stack([slope.reshape(-1) for _, slope in columns], axis=1).astype(complex)
-    times, stack = dynamics._records(lambda v: rate, ops, 3.0, IntegratorConfig(1, 1))
-    return Trajectory(times, dynamics._guard(times, stack, check_trace=True))
+    rate = np.stack([slope for _, slope in columns]).astype(complex)
+    times = np.arange(4.0)
+    return Trajectory(times, dynamics._guard(times, ops + times[:, None, None, None] * rate, check_trace=True))
 
 
 MIXED = np.diag([0.5, 0.5])
@@ -585,6 +584,12 @@ class TestPositivityCertificate:
         with pytest.raises(IntegrationError, match=r"^hermiticity drift inf exceeds 1\.0e-10 \* scale at time 1$"):
             dynamics._guard(np.arange(2.0), stack, check_trace=False)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_trace_fails_the_trace_check(self):
+        stack = np.array([EXCITED, np.diag([1e308, 1e308])]).astype(complex)
+        with pytest.raises(IntegrationError, match=r"^trace off by inf at time 1; step size too coarse$"):
+            dynamics._guard(np.arange(2.0), stack, check_trace=True)
+
     def test_a_finite_record_near_the_float_limit_stays_finite(self):
         stack = np.array([EXCITED, np.diag([1.7e308, 1.0])]).astype(complex)
         assert dynamics._guard(np.arange(2.0), stack, check_trace=False).tobytes() == stack.tobytes()
@@ -713,8 +718,7 @@ class TestLinearStepMatrix:
         model = random_model(rng, dim=3)
         config = IntegratorConfig(400, 40)
         elements = [random_density(rng, 3) for _ in range(3)]
-        times, stack = dynamics._linear_records(model, True, np.stack(elements), 0.8, config)
-        batched = Trajectory(times, dynamics._guard(times, stack, check_trace=False))
+        batched = Trajectory(*dynamics._run(model, "pom-backward", np.stack(elements), [0.8], config)[:2])
         for k, element in enumerate(elements):
             single = evolve_pom_backward(model, element, 0.8, config)
             np.testing.assert_array_equal(batched.times, single.times)
@@ -729,8 +733,7 @@ class TestEvolveShape:
         rng = np.random.default_rng(49)
         model = random_model(rng, dim=3)
         ops = random_density(rng, 3) if n is None else np.stack([random_density(rng, 3) for _ in range(n)])
-        times, stack = dynamics._linear_records(model, False, ops, 0.5, IntegratorConfig(100, 10))
-        traj = Trajectory(times, dynamics._guard(times, stack, check_trace=True))
+        traj = Trajectory(*dynamics._run(model, "predictive", ops, [0.5], IntegratorConfig(100, 10))[:2])
         assert traj.states.shape == (6, *ops.shape)
         assert not traj.states.flags.writeable
         np.testing.assert_array_equal(traj.states[0], symmetrize(ops))

@@ -25,6 +25,7 @@ from retrolind import (
 )
 from retrolind import dynamics, inference
 from retrolind.atom import analytic_preparation_probability, demo_scenario
+from retrolind.tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS
 
 from scenario_factory import random_density, random_model, random_pom_elements, random_scenario
 
@@ -252,6 +253,21 @@ class TestCollapseTimeSweep:
         with pytest.raises(ValueError, match="at least 2"):
             collapse_time_sweep(scenario, "+", "+", 1)
 
+    @pytest.mark.parametrize(
+        "dim, most",
+        [(2, int(MAX_RK4_STEPS)), (64, int(MAX_RECORDED_BYTES) // (64 * 64 * 16))],  # steps bind, then bytes
+    )
+    def test_n_times_is_bounded_before_anything_is_allocated(self, dim, most, monkeypatch):
+        ground = np.zeros((dim, dim))
+        ground[0, 0] = 1.0
+        ensemble = PreparationEnsemble((1.0,), (DensityOperator(ground),), ("0",))
+        scenario = Scenario(LindbladModel(dim, np.zeros((dim, dim))), ensemble, Pom((np.eye(dim),), ("any",)), 0.0, 1.0)
+        monkeypatch.setattr(np, "linspace", _refuse_to_allocate)
+        with pytest.raises(ValueError, match=f"^{most + 1} collapse times exceed the work budget of 1e\\+07 RK4 steps and "):
+            collapse_time_sweep(scenario, 0, 0, most + 1)
+        with pytest.raises(AssertionError, match="allocated"):
+            collapse_time_sweep(scenario, 0, 0, most)
+
     def test_matches_independent_integration_per_point(self):
         """Chaining from point to point matches integrating from t_p and from t_m anew for every point."""
         rng = np.random.default_rng(33)
@@ -266,12 +282,16 @@ class TestCollapseTimeSweep:
                 assert abs(value - trace(rho_t @ pi_t).real) <= 1e-10
 
 
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("the collapse times were allocated")
+
+
 def _per_segment_chain(scenario, op, segments, backward):
     """The chain as one guarded run per segment, each from the last one's final."""
     points = []
     for segment in segments:
-        times, stack = dynamics._linear_records(scenario.model, backward, op, float(segment), scenario.integrator)
-        run = dynamics.Trajectory(times, dynamics._guard(times, stack, check_trace=not backward))
+        mode = "pom-backward" if backward else "predictive"
+        run = dynamics.Trajectory(*dynamics._run(scenario.model, mode, op, [float(segment)], scenario.integrator)[:2])
         points.append(run.states[0])
         op = run.final
     return np.array([*points, op])
@@ -442,10 +462,10 @@ class TestHeldStepPlans:
     def test_a_zero_length_run_is_the_guarded_one_without_an_integration(self, backward, monkeypatch):
         scenario = self._scenario()
         ops = list(scenario.pom.elements) if backward else [state.op for state in scenario.ensemble.states]
-        times, stack = dynamics._linear_records(scenario.model, backward, ops, 0.0, scenario.integrator)
-        guarded = dynamics._guard(times, stack, check_trace=not backward)[-1]
+        mode = "pom-backward" if backward else "predictive"
+        guarded = dynamics._run(scenario.model, mode, ops, [0.0], scenario.integrator)[1][-1]
         monkeypatch.setattr(dynamics, "rk4_integrate", _refuse_to_integrate)
-        monkeypatch.setattr(inference, "_guard", _refuse_to_integrate)
+        monkeypatch.setattr(inference, "_run", _refuse_to_integrate)
         assert inference._finals(scenario.model, ops, 0.0, scenario.integrator, backward).tobytes() == guarded.tobytes()
 
 
@@ -489,8 +509,10 @@ class TestOutcomePairing:
         assert retrodict_preparation_probs(scenario, 1).probs.tobytes() == (raw / raw.sum()).tobytes()
 
         segments = np.diff(np.linspace(0.0, 0.4, 5))
-        forward = inference._chain(scenario, ensemble.states[0].op, segments, backward=False)
-        backward = inference._chain(scenario, pom.elements[2], segments[::-1], backward=True)[::-1]
+        _, forward, ends = dynamics._run(scenario.model, "predictive", ensemble.states[0].op, segments, scenario.integrator)
+        forward = forward[ends]
+        _, backward, ends = dynamics._run(scenario.model, "pom-backward", pom.elements[2], segments[::-1], scenario.integrator)
+        backward = backward[ends][::-1]
         expected = [trace(rho @ pi).real for rho, pi in zip(forward, backward)]
         assert [p for _, p in collapse_time_sweep(scenario, 0, 2, 5)] == expected
 

@@ -156,6 +156,12 @@ class TestEntriesNearTheFloatLimit:
         issues = _hermitian_positive_issues("outcome operator", op)
         assert [issue.message for issue in issues] == ["not Hermitian within tolerance"]
 
+    def test_an_overflowing_trace_is_reported(self):
+        report = validate_scenario_data(
+            2, np.zeros((2, 2)), [], [1.0], [np.diag([1e308, 1e308])], ["big"], [np.eye(2)], ["any"], 0.0, 1.0
+        )
+        assert report.lines() == ["ensemble.states[0]: trace is not 1 within tolerance (deviation inf)"]
+
 
 class TestPreparationEnsemble:
     def test_priors_stored_as_given(self):
