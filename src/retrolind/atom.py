@@ -39,9 +39,9 @@ __all__ = [
 
 def _check_rates(gamma: float, elapsed: float, elapsed_name: str) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"decay rate must be positive, got {gamma}")
+        raise ValueError(f"decay rate must be finite and positive, got {gamma}")
     if not (math.isfinite(elapsed) and elapsed >= 0.0):
-        raise ValueError(f"{elapsed_name} must be >= 0, got {elapsed}")
+        raise ValueError(f"{elapsed_name} must be finite and >= 0, got {elapsed}")
 
 
 def analytic_retrodictive_state(gamma: float, tau: float) -> DensityOperator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -52,6 +53,11 @@ class _ConsistencyFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that starts like a float ("-1e3", "-inf") is a value, not an unknown option.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str):
         """A command line argparse rejects is a usage error, on one line."""
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -153,8 +159,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
     scenario = load_scenario(args.scenario)
     points = collapse_time_sweep(scenario, args.preparation, args.outcome, args.points)
     values = [p for _, p in points]

@@ -20,23 +20,23 @@ the negatives of the corresponding d/dt forms:
 
 The identity is a fixed point of the outcome-operator equation, and the
 final nonlinear term keeps the retrodictive state normalized.  The
-evolution routines act on row-major-flattened operators, where the linear
-parts are the generator matrix G of predictive_generator and its conjugate
-transpose; the operator-form functions are the reference definitions.
+evolutions carry Hermitian operators in real coordinates (see _to_real),
+where the linear parts are predictive_generator's G as a real matrix L and
+its adjoint; the operator-form functions are the reference definitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .operators import _hermitian_excess, dagger, hermitian_deviation, symmetrize, trace
+from .operators import _hermitian_excess, dagger, hermitian_deviation, scale_of, symmetrize, trace
 from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL
 from .tolerances import RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -175,20 +175,67 @@ def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
     return total
 
 
-def _model_generator(model: LindbladModel) -> np.ndarray:
-    """The model's predictive generator, built at the first call and then
-    held by the model, read-only.  The model's own arrays are read-only too,
-    so the generator cannot go stale."""
+@cache
+def _coordinates(dim: int) -> SimpleNamespace:
+    """Index tables for dim x dim operators: the flat (row-major) indices of the
+    diagonal and of the upper and the lower triangle, row by row; on the (re,
+    im) float view of a flat operator, where _to_real's coordinates sit (pick:
+    the diagonal, then the real and the imaginary parts of the upper triangle)
+    and where their mirror images are (mirror), whose signs are sign; and the
+    coordinates' weights, so that Tr(A B) = sum_k weights_k a_k b_k."""
+    i, j = np.triu_indices(dim, 1)
+    diagonal, upper, lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
+    pick, mirror = (np.concatenate([2 * diagonal, 2 * part, 2 * part + 1]) for part in (upper, lower))
+    sign, weights = (np.repeat(values, [dim, len(i), len(i)]) for values in ([1.0, 1.0, -1.0], [1.0, 2.0, 2.0]))
+    return SimpleNamespace(diagonal=diagonal, upper=upper, lower=lower, pick=pick, mirror=mirror, sign=sign, weights=weights)
+
+
+def _to_real(a: np.ndarray) -> np.ndarray:
+    """The real coordinates (..., d^2) of the Hermitian parts of a complex (..., d, d) stack,
+    formed as symmetrize forms them; _from_real inverts it exactly for Hermitian operators."""
+    c = _coordinates(a.shape[-1])
+    half = 0.5 * a.reshape(*a.shape[:-2], -1).view(np.float64)
+    return half[..., c.pick] + c.sign * half[..., c.mirror]
+
+
+def _from_real(x: np.ndarray) -> np.ndarray:
+    """The Hermitian operators, (..., d, d), of (..., d^2) coordinates."""
+    dim = math.isqrt(x.shape[-1])
+    c = _coordinates(dim)
+    flat = np.zeros((*x.shape[:-1], 2 * dim * dim))
+    flat[..., c.pick] = x
+    flat[..., c.mirror] = np.where(c.sign < 0.0, 0.0 - x, x)  # 0.0 - x: a zero's sign as symmetrize gives it
+    return flat.view(np.complex128).reshape(*x.shape[:-1], dim, dim)
+
+
+def _model_generator(model: LindbladModel, backward: bool = False) -> np.ndarray:
+    """predictive_generator's G in real coordinates: L, whose column k is G on
+    the operator of coordinate k read off G's diagonal and upper rows, i.e. a
+    column of G or the sum or difference of two.  Built at the first call and
+    then held by the model, read-only (the model's arrays are read-only too).
+    If backward, L's adjoint W^-1 L^T W for W the weights, exact in powers of
+    2.  G must preserve Hermiticity: reshuffled to (i k, j l) it must be
+    Hermitian, to round-off of H and the A_q^dag A_q."""
     gen = vars(model).get("_generator")
     if gen is None:
-        gen = vars(model)["_generator"] = predictive_generator(model)
+        g, dim = predictive_generator(model), model.dim
+        reshuffled = g.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
+        terms = scale_of(model.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in model.jump_ops)
+        if hermitian_deviation(reshuffled) > HERMITICITY_STEP_TOL * terms:
+            raise IntegrationError(f"generator does not preserve Hermiticity within {HERMITICITY_STEP_TOL:.1e} * scale")
+        c = _coordinates(dim)
+        rows = g[np.concatenate([c.diagonal, c.upper])]
+        up, low = rows[:, c.upper], rows[:, c.lower]
+        cols = np.concatenate([rows[:, c.diagonal], up + low, 1j * (up - low)], axis=1)
+        gen = vars(model)["_generator"] = np.concatenate([cols.real, cols[dim:].imag])
         gen.setflags(write=False)
-    return gen
+    w = _coordinates(model.dim).weights
+    return (gen.T * w) / w[:, None] if backward else gen
 
 
 def _held(model: LindbladModel, backward: bool, h: float, m: int, build: Callable[[], np.ndarray]) -> np.ndarray:
     """The step plan S^m - I (see _linear) of the model's generator, or of
-    its conjugate transpose if backward, that the model holds, keyed on
+    its adjoint if backward, that the model holds, keyed on
     (backward, h, m), or else build(), which the model then holds, read-only,
     next to its generator.  The least recently used plans are dropped until
     the new one fits both MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model
@@ -237,17 +284,17 @@ def rk4_integrate(
     advance takes m stage-by-stage steps of rhs, or, with linear=True, for a
     time-independent linear map rhs v -> G v on the leading axis of x0, one
     product with a power of its step matrix (see _linear).  _advance(rhs, h),
-    if given, makes the advance instead, from the rhs passed here.
-    """
+    if given, makes the advance instead, from the rhs passed here.  x0 stays
+    complex128 if complex and is float64 otherwise, for a real rhs."""
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    x = np.asarray(x0, dtype=np.complex128)
+    x = np.asarray(x0, dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
     if duration == 0.0:
         return Trajectory(np.zeros(1), np.array([x]))
     n_steps = math.ceil(duration * config.steps_per_unit_time)
     h = duration / n_steps
     steps = np.minimum(np.arange(1 + -(-n_steps // config.record_every)) * config.record_every, n_steps)
-    states = np.empty((len(steps), *x.shape), dtype=np.complex128)
+    states = np.empty((len(steps), *x.shape), dtype=x.dtype)
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         advance = (_advance or (_linear if linear else _staged))(rhs, h)
@@ -308,11 +355,11 @@ def _linear(rhs: _Rhs, h: float, plan: Callable[..., np.ndarray] | None = None) 
     plan = plan or partial(_held, SimpleNamespace(), False)
     stride, jump = 0, None
 
-    def increment(m: int, size: int) -> np.ndarray:
+    def increment(m: int, x: np.ndarray) -> np.ndarray:
         def build() -> np.ndarray:
             if m > 1:
-                return _power_increment(increment(1, size), m)
-            eye = np.eye(size, dtype=np.complex128)
+                return _power_increment(increment(1, x), m)
+            eye = np.eye(len(x), dtype=x.dtype)
             return _rk4_step(rhs, eye, h) - eye
 
         return plan(h, m, build)
@@ -320,18 +367,18 @@ def _linear(rhs: _Rhs, h: float, plan: Callable[..., np.ndarray] | None = None) 
     def advance(x: np.ndarray, m: int) -> np.ndarray:
         nonlocal stride, jump
         if m != stride:
-            stride, jump = m, increment(m, len(x))
+            stride, jump = m, increment(m, x)
         return x + jump @ x
 
     return advance
 
 
 def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
-    """The advance by m RK4 steps of the retrodictive right-hand side
-    f(v) = G^dag v + 2 (k.v) v, with G the model's predictive generator and
-    k the flattened transpose of _jump_commutator_sum; rhs is not called.
+    """The advance by m RK4 steps of the retrodictive right-hand side f(v) =
+    L* v + 2 (k.v) v in real coordinates, with L* the adjoint of the model's
+    generator and k.v = Tr(K v) for K = _jump_commutator_sum; rhs is unused.
 
-    Each step is taken in the Krylov basis b_j = (h G^dag)^j v, j = 0..4,
+    Each step is taken in the Krylov basis b_j = (h L*)^j v, j = 0..4,
     which spans every stage: each stage input is v plus a combination of
     earlier stages, so with s_j = 2h k.b_j a stage h f(sum_j c_j b_j) has the
     coefficients of sum_j c_j b_{j+1} + (sum_j c_j s_j) sum_j c_j b_j, a
@@ -339,12 +386,11 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
     stage.  The step returns v + sum_j alpha_j b_j, the 1 of v left out of
     alpha_0, so its round-off is relative to the change, as in the
     stage-by-stage step.  It is the same RK4 step with a different round-off.
-    h G^dag, h k and the basis are formed once per integration."""
-    kvec = _jump_commutator_sum(model).T.reshape(-1)
-    hg = _model_generator(model).T.conj()
+    h L*, h k and the basis are formed once per integration."""
+    hg = _model_generator(model, backward=True)
     hg *= h
-    kh = (2.0 * h) * kvec
-    basis = np.empty((5, len(kvec)), dtype=np.complex128)
+    kh = (2.0 * h) * _coordinates(model.dim).weights * _to_real(_jump_commutator_sum(model))
+    basis = np.empty((5, len(kh)))
     b0, b1, b2, b3, b4 = basis
     first4 = basis[:4]
 
@@ -383,13 +429,13 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
 def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfig):
     """ops, one (d, d) operator or an (n, d, d) stack, carried over consecutive
     segments by the "predictive", "pom-backward" or "retrodictive" equation,
-    each from the last one's symmetrized final: the linear ones on the step
+    each from the last one's final, in the real coordinates of ops symmetrized
+    (_to_real; a stack's as (d^2, n) columns): the linear ones on the step
     plans the model holds (see _linear and _held), the retrodictive one in a
-    Krylov basis (see _krylov), each on the row-major-flattened operator or
-    the stack's as (d^2, n) columns.  Returns the times along the run, its
-    records (records, *ops.shape), guarded in one _guard pass, and the indices
-    of the start and of each segment's end.  A segment that stops being finite
-    ends the run after that pass, so the earliest failure is the one raised."""
+    Krylov basis (see _krylov).  Returns the times along the run, its records
+    (records, *ops.shape), made complex and guarded in one _guard pass, and the
+    indices of the start and of each segment's end.  A segment that stops being
+    finite ends the run after that pass, so the earliest failure is raised."""
     ops = np.asarray(ops, dtype=np.complex128)
     backward = mode == "pom-backward"
     if mode == "retrodictive":
@@ -397,28 +443,25 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
     else:
 
         def rhs(v: np.ndarray) -> np.ndarray:
-            gen = _model_generator(model)
-            return (gen.conj().T if backward else gen) @ v
+            return _model_generator(model, backward) @ v
 
         advance = partial(_linear, plan=partial(_held, model, backward))
+    x0 = x = _to_real(ops).T
     times, records, ends, failure = [], [], [0], None
     start = 0.0
     for segment in segments:
-        op = symmetrize(run[-1]) if records else ops  # symmetrized only if a segment follows
-        x0 = op.reshape(-1) if op.ndim == 2 else op.reshape(len(op), -1).T
         try:
-            flat = rk4_integrate(rhs, x0, float(segment), config, _advance=advance)
+            flat = rk4_integrate(rhs, x, float(segment), config, _advance=advance)
         except IntegrationError as exc:
             failure = exc
             break
-        run = np.swapaxes(flat.states.reshape(len(flat), len(x0), -1), 1, 2).reshape(-1, *ops.shape)
         times.append(start + flat.times[1:] if records else flat.times)  # a later run starts at a recorded final
-        records.append(run[1:] if records else run)
-        ends.append(ends[-1] + len(run) - 1)
-        start += segment
-    parts = (times or [np.zeros(1)], records or [ops[None]])  # one run is not copied
+        records.append(flat.states[1:] if records else flat.states)
+        ends.append(ends[-1] + len(flat) - 1)
+        x, start = flat.states[-1], start + segment
+    parts = (times or [np.zeros(1)], records or [x0[None]])  # one run is not copied
     times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
-    records = _guard(times, records, check_trace=not backward)
+    records = _guard(times, _from_real(np.swapaxes(records, 1, -1)), check_trace=not backward)
     if failure:
         raise failure
     return times, records, ends

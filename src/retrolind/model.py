@@ -445,7 +445,7 @@ def two_level_decay_model(gamma: float) -> LindbladModel:
     population obeys d(rho_ee)/dt = -gamma rho_ee.
     """
     if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"decay rate must be positive, got {gamma}")
+        raise ValueError(f"decay rate must be finite and positive, got {gamma}")
     lower = np.zeros((2, 2), dtype=np.complex128)
     lower[1, 0] = math.sqrt(gamma / 2.0)
     return LindbladModel(2, np.zeros((2, 2), dtype=np.complex128), (lower,))

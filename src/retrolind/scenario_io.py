@@ -57,6 +57,7 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+_CSV_BLOCK = 2**14  # trajectory table entries formatted at once: 127 rows at dim 8
 _TOP_LEVEL_KEYS = {"dim", "hamiltonian", "jump_ops", "ensemble", "pom", "t_p", "t_m", "integrator"}
 _REQUIRED_KEYS = _TOP_LEVEL_KEYS - {"integrator"}
 
@@ -283,11 +284,14 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory, time_description: str) -> None:
-    """Write recorded states as delimited text, one row per time."""
-    pairs = np.ascontiguousarray(trajectory.states, dtype=np.complex128).reshape(len(trajectory), -1).view(float)
-    table = np.column_stack([trajectory.times, pairs])
-    head = f"# time column: {time_description}\n{_csv_columns(trajectory.states.shape[-1])}\n"
-    Path(path).write_text(head + _e12_rows(table))
+    """Write recorded states as delimited text, one row per time, in blocks of rows."""
+    times, states = trajectory.times, trajectory.states
+    rows = max(1, _CSV_BLOCK // (1 + 2 * states[0].size))
+    with open(path, "wb") as out:
+        out.write(f"# time column: {time_description}\n{_csv_columns(states.shape[-1])}\n".encode())
+        for k in range(0, len(times), rows):
+            block = np.ascontiguousarray(states[k : k + rows], dtype=np.complex128)
+            out.write(_e12_bytes(np.column_stack([times[k : k + rows], block.reshape(len(block), -1).view(float)])))
 
 
 @functools.cache
@@ -326,9 +330,10 @@ def _e12_tables() -> tuple[np.ndarray, ...]:
     )
 
 
-def _e12_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 13 digits q and the exponent e that "%.12e" prints for each
-    entry of x, and where they are proven right.
+def _e12_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text "%.12e" prints for each entry of x, in the first five of six
+    four-byte words (see _e12_tables), and where it is proven right: from the
+    13 digits q and the exponent e, each array dropped once used.
 
     An entry |x| = m 10^e with 1 <= m < 10 is scaled by the correctly
     rounded 10^(12 - e), with e from log10|x|.  The scaled value is then
@@ -338,53 +343,59 @@ def _e12_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     only if |x| is at least the double nearest 10^e, since below it e may
     be one too high.  Zeros are proven with q = e = 0; every other entry
     (near ties, |e| >= 280, inf and nan) is not, and has q = e = 0."""
-    powers = _e12_tables()[0]
+    powers, head, quad, tail, exps = _e12_tables()
+    a = np.abs(x)
     with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(np.abs(x)))
+        e = np.floor(np.log10(a))
     fast = np.abs(e) < 280  # not for zero, inf or nan
-    a = np.where(fast, np.abs(x), 1.0)
-    e = np.where(fast, e, 0.0).astype(np.int64)
-    scaled = a * powers[312 - e]
+    a[~fast], e[~fast] = 1.0, 0.0
+    e = e.astype(np.int64)
+    scaled = powers[312 - e]
+    scaled *= a
     q = np.rint(scaled)
     fast &= (np.abs(scaled - np.floor(scaled) - 0.5) > 0.005) & (q >= 1e12) & (q <= 1e13)
     fast &= (q != 1e12) | (a >= powers[e + 300])
+    del a, scaled
     carry = q == 1e13
     q[carry] = 1e12
     e += carry
     q[~fast], e[~fast] = 0.0, 0
     fast |= x == 0.0
-    return q.astype(np.int64), e, fast
+    words = np.empty((x.size, 6), dtype=np.uint32)
+    words[:, 4] = exps[e + 300]
+    hi, q = np.divmod(q.astype(np.int64), 10**11)
+    words[:, 0] = head[hi]
+    hi, q = np.divmod(q, 10**7)
+    words[:, 1] = quad[hi]
+    hi, q = np.divmod(q, 10**3)
+    words[:, 2] = quad[hi]
+    words[:, 3] = tail[q]
+    return words, fast
 
 
 def _e12_rows(table: np.ndarray) -> str:
-    """The rows of a 2-D float table, each entry exactly as "%.12e" prints
-    it, comma-separated, each row ended by a newline.
+    """The text of _e12_bytes(table)."""
+    return str(_e12_bytes(table), "ascii")
 
-    Each entry fills six four-byte words: its text from the digits of
-    _e12_digits, its separator and padding.  An entry whose digits are not
-    proven is formatted by "%.12e" itself.  The bytes an entry does not use
-    (the sign of a positive entry, the hundreds digit of a two-digit
-    exponent, the tail of a short fallback, the padding) are dropped at the
-    end."""
-    _, head, quad, tail, exps = _e12_tables()
+
+def _e12_bytes(table: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float table as ASCII bytes, each entry exactly as
+    "%.12e" prints it, comma-separated, each row ended by a newline.
+
+    Each entry fills six four-byte words: its text from _e12_words, its
+    separator and padding; one whose text is not proven is formatted by
+    "%.12e" itself.  The bytes an entry does not use (the sign of a positive
+    entry, the hundreds digit 0 of a two-digit exponent, the tail of a short
+    fallback, the padding) are dropped at the end."""
     x = table.reshape(-1)
-    q, e, fast = _e12_digits(x)
-    words = np.empty((x.size, 6), dtype=np.uint32)
-    hi = q // 10**11
-    words[:, 0] = head[hi]
-    lo = q // 10**7
-    words[:, 1] = quad[lo - hi * 10**4]
-    hi = q // 10**3
-    words[:, 2] = quad[hi - lo * 10**4]
-    words[:, 3] = tail[q - hi * 10**3]
-    words[:, 4] = exps[e + 300]
+    words, fast = _e12_words(x)
     out = words.view(np.uint8)
     out[:, 20] = ord(",")
     out[table.shape[1] - 1 :: table.shape[1], 20] = ord("\n")
     keep = np.zeros(out.shape, dtype=bool)
     keep[:, 1:21] = True
     keep[:, 0] = np.signbit(x)
-    keep[:, 17] = np.abs(e) >= 100
+    keep[:, 17] = out[:, 17] != ord("0")
     slow = np.flatnonzero(~fast)
     if slow.size:
         values = x[slow].tolist()
@@ -392,4 +403,4 @@ def _e12_rows(table: np.ndarray) -> str:
         field = field.reshape(-1, 20)
         out[slow, :20] = field
         keep[slow, :20] = field != ord(" ")
-    return str(out[keep], "ascii")
+    return out[keep]

@@ -308,6 +308,12 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "at least 2" in capsys.readouterr().err
 
+    def test_too_few_points_on_a_malformed_file_is_a_parse_failure(self, capsys):
+        # The one point-count check runs after the scenario is loaded.
+        code = main(["sweep", str(SCENARIOS_DIR / "malformed.json"), "--preparation", "+", "--outcome", "+", "--points", "1"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_unknown_labels(self, capsys):
         code = main(["sweep", DEMO, "--preparation", "q", "--outcome", "+",
                      "--points", "3"])
@@ -351,6 +357,21 @@ class TestDemoAtom:
 
     def test_rejects_negative_duration(self, capsys):
         assert main(["demo-atom", "--gamma", "1.0", "--duration", "-1.0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("gamma", ["-1e3", "-inf"])
+    def test_a_negative_float_reaches_the_gamma_check(self, gamma):
+        proc = _run_cli("demo-atom", "--gamma", gamma, "--duration", "1")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --gamma must be positive\n"
+
+    @pytest.mark.parametrize(
+        "gamma, duration, reason",
+        [("inf", "1", "decay rate must be finite and positive, got inf"), ("1", "inf", "window must be finite and >= 0, got inf")],
+    )
+    def test_an_infinite_rate_or_window_is_named_not_finite(self, gamma, duration, reason, capsys):
+        assert main(["demo-atom", "--gamma", gamma, "--duration", duration]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_fail_is_a_consistency_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "analytic_preparation_probability", lambda gamma, window: 0.5)

@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrolind import (
     DensityOperator,
@@ -401,7 +403,8 @@ class TestRecordedStateGuards:
             dynamics, "predictive_generator", lambda m: -1j * np.kron(m.hamiltonian, np.eye(m.dim))
         )
         rho = DensityOperator(np.eye(3, dtype=complex) / 3.0)
-        with pytest.raises(IntegrationError, match="hermiticity drift .* at time 0.1$") as err:
+        # Evolved in Hermitian coordinates, no record can drift: the generator is refused before a step.
+        with pytest.raises(IntegrationError, match=r"^generator does not preserve Hermiticity within 1\.0e-10 \* scale$") as err:
             evolve_predictive(model, rho, 0.5, IntegratorConfig(400, 40))
         assert err.value.step is None
 
@@ -783,8 +786,8 @@ class TestHeldStepPlans:
 
     @pytest.mark.parametrize("plans", [0.5, 1, 2.5])
     def test_held_plan_bytes_stay_within_the_generator_budget(self, plans, monkeypatch):
-        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
-        budget = plans * 9 * 9 * 16
+        # dim 3: each plan is one 9 x 9 real matrix of 648 bytes.
+        budget = plans * 9 * 9 * 8
         monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", budget)
         rng = np.random.default_rng(61)
         model = random_model(rng, dim=3)
@@ -803,6 +806,43 @@ class TestHeldStepPlans:
         run = rk4_integrate(lambda v: gen @ v, EXCITED.reshape(-1), 1.0, IntegratorConfig(23, 10), linear=True)
         assert np.diff(np.rint(run.times * 23)).tolist() == [10, 10, 3]
         assert builds == [1]
+
+
+class TestHermitianCoordinates:
+    """The evolutions carry real coordinates of Hermitian operators
+    (dynamics._to_real), on the model's real generator L and its adjoint."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 3))
+    def test_coordinates_round_trip_and_carry_both_generators(self, seed, dim, jumps):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, dim * dim)) * 10.0 ** rng.integers(-300, 300, (3, dim * dim))
+        assert dynamics._to_real(dynamics._from_real(x)).tobytes() == x.tobytes()
+        herm = symmetrize(rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim)))
+        assert dynamics._from_real(dynamics._to_real(herm)).tobytes() == herm.tobytes()
+
+        # Column c of L, as an operator, is G on the operator of coordinate c, within 1e-15 relative
+        # to the scale of G's terms (G itself may be round-off: dim 1); likewise for the adjoints.
+        model = random_model(rng, dim=dim, n_jumps=jumps)
+        terms = scale_of(model.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in model.jump_ops)
+        gen = dynamics._model_generator(model)
+        basis = dynamics._from_real(np.eye(dim * dim)).reshape(dim * dim, -1)
+        for real, full in ((gen, predictive_generator(model)), (dynamics._model_generator(model, backward=True), pom_backward_generator(model))):
+            columns = dynamics._from_real(real.T).reshape(dim * dim, -1)
+            assert np.max(np.abs(columns - basis @ full.T)) <= 1e-15 * terms
+        # The adjoint under Tr(A B) = sum_k w_k a_k b_k: W L* = (W L)^T, exactly.
+        w = dynamics._coordinates(dim).weights
+        assert (w[:, None] * dynamics._model_generator(model, backward=True)).tobytes() == np.ascontiguousarray((w[:, None] * gen).T).tobytes()
+
+    def test_a_dim8_model_holds_half_the_bytes_of_complex_generators_and_plans(self):
+        # Every step recorded, as in the benchmark's dim-8 trajectories: one plan S - I per direction.
+        rng = np.random.default_rng(80)
+        model = random_model(rng, dim=8, n_jumps=2)
+        config = IntegratorConfig(50, 1)
+        evolve_predictive(model, DensityOperator(random_density(rng, 8)), 1.0, config)
+        evolve_pom_backward(model, random_density(rng, 8), 1.0, config)
+        # A 64 x 64 complex generator and two such plans took 192 KB.
+        assert vars(model)["_generator"].nbytes + _held_bytes(model) <= 96 * 1024
 
 
 def _staged_retrodictive(model, rho: np.ndarray, duration: float, config: IntegratorConfig) -> Trajectory:
@@ -847,7 +887,7 @@ class TestKrylovRetrodictiveStep:
         model = random_model(rng, dim=3)
         kvec = dynamics._jump_commutator_sum(model).T.reshape(-1)
         assert np.abs(kvec).max() > 0.0
-        x0 = 1e170 * random_density(rng, 3).reshape(-1)
+        x0 = 1e170 * dynamics._to_real(random_density(rng, 3))
         with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
             rk4_integrate(None, x0, 1.0, _advance=partial(dynamics._krylov, model))
         assert err.value.step == 1

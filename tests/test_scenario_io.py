@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from retrolind import (
 )
 from retrolind.cli import main
 from retrolind.scenario_io import (
+    _CSV_BLOCK,
     _e12_rows,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -314,6 +316,48 @@ class TestTrajectoryCsvBytes:
         header = path.read_text().splitlines()[1]
         assert header == _per_entry_csv(traj, "t").splitlines()[1]
         assert header.endswith(",re_21,im_21,re_22,im_22")
+
+
+def _awkward_states(rng: np.random.Generator, records: int, dim: int) -> np.ndarray:
+    """Random states whose entries span |exponent| up to 300, with signed
+    zeros, infinities and NaNs sprinkled in."""
+    parts = rng.standard_normal((records, dim, dim, 2)) * 10.0 ** rng.integers(-300, 300, (records, dim, dim, 2))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    where = rng.random(parts.shape) < 0.05
+    parts[where] = rng.choice(special, size=int(where.sum()))
+    return parts.view(complex)[..., 0]
+
+
+class TestTrajectoryCsvBlocks:
+    """The writer formats and writes the table a block of rows at a time."""
+
+    @pytest.mark.parametrize("dim, records", [(2, 4000), (3, 1), (8, 300)])
+    def test_blocks_write_the_per_entry_bytes(self, dim, records, tmp_path):
+        from retrolind import Trajectory
+
+        rng = np.random.default_rng(54 + dim)
+        for _ in range(3):
+            traj = Trajectory(np.arange(records) * 10.0 ** rng.uniform(-200, 200), _awkward_states(rng, records, dim))
+            path = tmp_path / "blocks.csv"
+            write_trajectory_csv(path, traj, "t")
+            assert path.read_bytes() == _per_entry_csv(traj, "t").encode()
+
+    def test_memory_does_not_grow_with_the_records(self, tmp_path):
+        from retrolind import Trajectory
+
+        def traced_peak(records: int) -> int:
+            states = _awkward_states(np.random.default_rng(56), records, 2)
+            traj = Trajectory(np.arange(records, dtype=float), states)
+            write_trajectory_csv(tmp_path / "warm.csv", Trajectory(traj.times[:2], states[:2]), "t")
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(tmp_path / "big.csv", traj, "t")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # One block's table of doubles is 128 KB; 200 000 dim-2 records are 12.8 MB of states.
+        assert traced_peak(200_000) <= traced_peak(20_000) + 8 * _CSV_BLOCK
 
 
 def _printf_rows(table: np.ndarray) -> str:
