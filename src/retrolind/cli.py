@@ -55,8 +55,7 @@ class _ConsistencyFailure(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A value that starts like a float ("-1e3", "-inf") is a value, not an unknown option.
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)  # "-1e3", "-inf": values, not options
 
     def error(self, message: str):
         """A command line argparse rejects is a usage error, on one line."""

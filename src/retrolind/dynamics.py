@@ -38,7 +38,7 @@ import numpy as np
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
 from .operators import _hermitian_excess, dagger, hermitian_deviation, scale_of, symmetrize, trace
 from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL
-from .tolerances import RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
+from .tolerances import HERMITICITY_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
@@ -177,12 +177,10 @@ def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
 
 @cache
 def _coordinates(dim: int) -> SimpleNamespace:
-    """Index tables for dim x dim operators: the flat (row-major) indices of the
-    diagonal and of the upper and the lower triangle, row by row; on the (re,
-    im) float view of a flat operator, where _to_real's coordinates sit (pick:
-    the diagonal, then the real and the imaginary parts of the upper triangle)
-    and where their mirror images are (mirror), whose signs are sign; and the
-    coordinates' weights, so that Tr(A B) = sum_k weights_k a_k b_k."""
+    """Index tables for dim x dim operators: the row-major flat indices of the diagonal
+    and of the upper and lower triangles; on a flat operator's (re, im) float view, the
+    coordinates (pick: the diagonal, then the real and the imaginary parts of the upper
+    triangle), their mirror images and signs; weights, so Tr(A B) = sum_k w_k a_k b_k."""
     i, j = np.triu_indices(dim, 1)
     diagonal, upper, lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
     pick, mirror = (np.concatenate([2 * diagonal, 2 * part, 2 * part + 1]) for part in (upper, lower))
@@ -191,8 +189,8 @@ def _coordinates(dim: int) -> SimpleNamespace:
 
 
 def _to_real(a: np.ndarray) -> np.ndarray:
-    """The real coordinates (..., d^2) of the Hermitian parts of a complex (..., d, d) stack,
-    formed as symmetrize forms them; _from_real inverts it exactly for Hermitian operators."""
+    """The real coordinates (..., d^2) of the Hermitian parts A/2 + A^dag/2 of a complex
+    (..., d, d) stack, halved on the float view; _from_real inverts it exactly for Hermitian operators."""
     c = _coordinates(a.shape[-1])
     half = 0.5 * a.reshape(*a.shape[:-2], -1).view(np.float64)
     return half[..., c.pick] + c.sign * half[..., c.mirror]
@@ -209,20 +207,18 @@ def _from_real(x: np.ndarray) -> np.ndarray:
 
 
 def _model_generator(model: LindbladModel, backward: bool = False) -> np.ndarray:
-    """predictive_generator's G in real coordinates: L, whose column k is G on
-    the operator of coordinate k read off G's diagonal and upper rows, i.e. a
-    column of G or the sum or difference of two.  Built at the first call and
-    then held by the model, read-only (the model's arrays are read-only too).
-    If backward, L's adjoint W^-1 L^T W for W the weights, exact in powers of
-    2.  G must preserve Hermiticity: reshuffled to (i k, j l) it must be
-    Hermitian, to round-off of H and the A_q^dag A_q."""
+    """predictive_generator's G in real coordinates: L, whose column k, G on the
+    operator of coordinate k, is read off one column of G or two.  Held by the model,
+    read-only, from the first call.  If backward, L's adjoint W^-1 L^T W for W the
+    weights, exact in powers of 2.  G reshuffled to (i k, j l) must be Hermitian within
+    twice what validation admits of H, relative to the scales of H and the A_q^dag A_q."""
     gen = vars(model).get("_generator")
     if gen is None:
         g, dim = predictive_generator(model), model.dim
         reshuffled = g.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
         terms = scale_of(model.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in model.jump_ops)
-        if hermitian_deviation(reshuffled) > HERMITICITY_STEP_TOL * terms:
-            raise IntegrationError(f"generator does not preserve Hermiticity within {HERMITICITY_STEP_TOL:.1e} * scale")
+        if _hermitian_excess(reshuffled, 2.0 * HERMITICITY_TOL, terms):
+            raise IntegrationError(f"generator does not preserve Hermiticity within {2.0 * HERMITICITY_TOL:.1e} * scale")
         c = _coordinates(dim)
         rows = g[np.concatenate([c.diagonal, c.upper])]
         up, low = rows[:, c.upper], rows[:, c.lower]
@@ -284,8 +280,8 @@ def rk4_integrate(
     advance takes m stage-by-stage steps of rhs, or, with linear=True, for a
     time-independent linear map rhs v -> G v on the leading axis of x0, one
     product with a power of its step matrix (see _linear).  _advance(rhs, h),
-    if given, makes the advance instead, from the rhs passed here.  x0 stays
-    complex128 if complex and is float64 otherwise, for a real rhs."""
+    if given, makes the advance instead, from the rhs passed here.  The
+    records are float64 while x0 and every advance are real, else complex128."""
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
     x = np.asarray(x0, dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
@@ -308,6 +304,7 @@ def rk4_integrate(
                     nxt = advance(nxt, 1)
                     if not np.isfinite(nxt).all():
                         raise IntegrationError(f"non-finite state at step {i} of {n_steps}", step=i)
+            states = states.astype(np.result_type(states, nxt), copy=False)  # complex from the first complex advance
             states[r] = x = nxt
             k += m
     return Trajectory(steps * h, states)

@@ -305,7 +305,7 @@ def _csv_columns(dim: int) -> str:
 
 @functools.cache
 def _e12_tables() -> tuple[np.ndarray, ...]:
-    """The lookup tables of _e12_rows, built at its first call: 10^k at
+    """The lookup tables of _e12_bytes, built at its first call: 10^k at
     k + 300 for k = -300..299, each correctly rounded (parsed from "1e{k}";
     10.0 ** k need not be), then four-byte words of ASCII text: "-L.D" for
     the first two digits LD of a mantissa, "DDDD" for 0..9999, "DDDe" for
@@ -371,11 +371,6 @@ def _e12_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words[:, 2] = quad[hi]
     words[:, 3] = tail[q]
     return words, fast
-
-
-def _e12_rows(table: np.ndarray) -> str:
-    """The text of _e12_bytes(table)."""
-    return str(_e12_bytes(table), "ascii")
 
 
 def _e12_bytes(table: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ relative to the largest entry modulus of the operand (``operators.scale_of``).
 """
 
 # Scenario invariants (model)
-HERMITICITY_TOL = 1e-10  # Hermiticity of scenario operators, relative
+HERMITICITY_TOL = 1e-10  # Hermiticity of scenario operators, relative; twice it, of the generator (dynamics)
 TRACE_TOL = 1e-10  # |trace - 1| of a density operator
 EIGENVALUE_TOL = 1e-9  # absolute negativity allowance on eigenvalues
 POM_SUM_TOL = 1e-9  # entrywise deviation of the outcome-operator sum from identity
@@ -18,7 +18,7 @@ EIGENSOLVER_HERMITICITY_TOL = 1e-8  # Hermiticity demanded by hermitian_eigenval
 # Evolution guards (dynamics)
 TRACE_DRIFT_TOL = 1e-8  # |trace - 1| allowed on recorded evolved states
 POSITIVITY_DRIFT_TOL = 1e-7  # eigenvalue negativity allowed on recorded evolved states
-HERMITICITY_STEP_TOL = 1e-10  # hermiticity drift of a recorded evolved state, or made by the generator, relative
+HERMITICITY_STEP_TOL = 1e-10  # hermiticity drift of a recorded evolved state, relative to state scale
 RETRODICTIVE_RHS_TRACE_TOL = 1e-8  # |trace - 1| of a state passed to retrodictive_rhs
 
 # Inference

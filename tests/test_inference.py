@@ -411,9 +411,9 @@ class TestHeldStepPlans:
 
     @pytest.mark.parametrize("plans", [None, 0.5, 1, 2.5])
     def test_held_plans_give_the_results_of_a_fresh_model_byte_for_byte(self, plans, monkeypatch):
-        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
+        # dim 3: each plan is one 9 x 9 real matrix of 648 bytes.
         if plans is not None:
-            monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", plans * 9 * 9 * 16)
+            monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", plans * 9 * 9 * 8)
         scenario = self._scenario()
         for _ in range(2):
             assert _queries_and_sweep(scenario) == _queries_and_sweep(_fresh(scenario))

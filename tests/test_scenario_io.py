@@ -21,7 +21,7 @@ from retrolind import (
 from retrolind.cli import main
 from retrolind.scenario_io import (
     _CSV_BLOCK,
-    _e12_rows,
+    _e12_bytes,
     matrix_from_pairs,
     matrix_to_pairs,
     parse_scenario,
@@ -367,7 +367,7 @@ def _printf_rows(table: np.ndarray) -> str:
 def _assert_rows_match_printf(values) -> None:
     values = np.asarray(values, dtype=float)
     for table in (values.reshape(-1, 1), values.reshape(1, -1), np.column_stack([values, -values])):
-        assert _e12_rows(table) == _printf_rows(table)
+        assert _e12_bytes(table).tobytes().decode() == _printf_rows(table)
 
 
 class TestVectorisedE12Formatting:
@@ -426,7 +426,7 @@ class TestVectorisedE12Formatting:
         _assert_rows_match_printf(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
 
     def test_signed_zeros_keep_their_sign(self):
-        assert _e12_rows(np.array([[0.0, -0.0]])) == "0.000000000000e+00,-0.000000000000e+00\n"
+        assert _e12_bytes(np.array([[0.0, -0.0]])).tobytes() == b"0.000000000000e+00,-0.000000000000e+00\n"
 
     @pytest.mark.parametrize("mode, initial", [("predictive", "+"), ("predictive", "-"), ("pom-backward", "+")])
     def test_evolve_on_the_demo_writes_the_per_entry_bytes(self, mode, initial, tmp_path, capsys):
