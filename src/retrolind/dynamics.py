@@ -36,14 +36,12 @@ from typing import Callable
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .operators import _hermitian_excess, dagger, hermitian_deviation, scale_of, symmetrize, trace
-from .tolerances import HERMITICITY_STEP_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL
-from .tolerances import HERMITICITY_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
+from .operators import _hermitian_excess, as_operator, dagger, scale_of, trace
+from .tolerances import HERMITICITY_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
     "POSITIVITY_DRIFT_TOL",
-    "HERMITICITY_STEP_TOL",
     "IntegrationError",
     "Trajectory",
     "predictive_rhs",
@@ -197,12 +195,13 @@ def _to_real(a: np.ndarray) -> np.ndarray:
 
 
 def _from_real(x: np.ndarray) -> np.ndarray:
-    """The Hermitian operators, (..., d, d), of (..., d^2) coordinates."""
+    """The Hermitian operators, (..., d, d), of (..., d^2) coordinates, every zero +0.0, which symmetrize keeps."""
     dim = math.isqrt(x.shape[-1])
     c = _coordinates(dim)
     flat = np.zeros((*x.shape[:-1], 2 * dim * dim))
     flat[..., c.pick] = x
-    flat[..., c.mirror] = np.where(c.sign < 0.0, 0.0 - x, x)  # 0.0 - x: a zero's sign as symmetrize gives it
+    flat[..., c.mirror] = c.sign * x
+    flat += 0.0
     return flat.view(np.complex128).reshape(*x.shape[:-1], dim, dim)
 
 
@@ -458,45 +457,39 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
         x, start = flat.states[-1], start + segment
     parts = (times or [np.zeros(1)], records or [x0[None]])  # one run is not copied
     times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
-    records = _guard(times, _from_real(np.swapaxes(records, 1, -1)), check_trace=not backward)
+    records = _guard(times, np.swapaxes(records, 1, -1), check_trace=not backward)
     if failure:
         raise failure
     return times, records, ends
 
 
-def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarray:
-    """The records of stack, shaped (records, ..., d, d) and recorded at
-    times, guarded in one call per check over all of them, and returned
-    symmetrized: the Hermiticity drift must be round-off, which symmetrizing
-    then absorbs; the trace (if check_trace) must hold; each record must be
-    finite and positive, lowest eigenvalue >= -POSITIVITY_DRIFT_TOL.  One
-    batched Cholesky factorisation of the stack + POSITIVITY_DRIFT_TOL * I,
-    with a finite factor, certifies positivity; a stack it does not certify
-    goes to eigvalsh (finite records only), which then decides.  The two
-    agree except within round-off of the tolerance.
-
-    The earliest failing record, and in it the lowest failing operator,
-    raises its first failing check in that order; at time 0 no step has been
-    taken, so a failure there is the initial operator's and raises ValueError."""
-    drifted = _hermitian_excess(stack, HERMITICITY_STEP_TOL)
-    raw, stack = stack, symmetrize(stack)
+def _guard(times: np.ndarray, coords: np.ndarray, check_trace: bool) -> np.ndarray:
+    """The Hermitian stack _from_real makes of coords, real coordinates (records, ..., d^2)
+    recorded at times, guarded in one call per check over all records: the trace (if
+    check_trace), the sum of the first d coordinates, must hold; each record must be
+    finite, lowest eigenvalue >= -POSITIVITY_DRIFT_TOL.  One batched Cholesky
+    factorisation of the stack + POSITIVITY_DRIFT_TOL * I, with a finite factor,
+    certifies positivity; a stack it does not certify goes to eigvalsh (finite records
+    only), which then decides, as it would except within round-off of the tolerance.
+    The earliest failing record, and in it the lowest failing operator, raises its first
+    failing check in that order; at time 0 no step has been taken, so a failure there
+    is the initial operator's and raises ValueError."""
+    stack = _from_real(coords)
     with np.errstate(over="ignore"):  # an overflowing trace is inf, which fails the trace check
-        trace_dev = np.abs(trace(stack) - 1.0) if check_trace else np.zeros(drifted.shape)
-    failed = drifted | (trace_dev > TRACE_DRIFT_TOL)
+        trace_dev = np.abs(coords[..., : stack.shape[-1]].sum(axis=-1) - 1.0) if check_trace else np.zeros(coords.shape[:-1])
+    failed = trace_dev > TRACE_DRIFT_TOL
     if not failed.any():
         try:  # LAPACK may factor a NaN input without an error, into a NaN factor
             if np.isfinite(np.linalg.cholesky(stack + POSITIVITY_DRIFT_TOL * np.eye(stack.shape[-1]))).all():
                 return stack
         except np.linalg.LinAlgError:
             pass
-    finite = np.isfinite(stack).all(axis=(-2, -1))
+    finite = np.isfinite(coords).all(axis=-1)
     low = np.linalg.eigvalsh(np.where(finite[..., None, None], stack, 0.0))[..., 0]
     failed |= ~finite | ~(low >= -POSITIVITY_DRIFT_TOL)  # a NaN eigenvalue fails too
     if failed.any():
         at = np.unravel_index(np.argmax(failed), failed.shape)
-        if drifted[at]:
-            what = f"hermiticity drift {4.0 * hermitian_deviation(raw[at] / 4.0):.3e} exceeds {HERMITICITY_STEP_TOL:.1e} * scale"
-        elif trace_dev[at] > TRACE_DRIFT_TOL:
+        if trace_dev[at] > TRACE_DRIFT_TOL:
             what = f"trace off by {trace_dev[at]:.3e}"
         elif not finite[at]:
             what = "non-finite state"
@@ -504,8 +497,7 @@ def _guard(times: np.ndarray, stack: np.ndarray, check_trace: bool) -> np.ndarra
             what = f"eigenvalue {low[at]:.3e} below -{POSITIVITY_DRIFT_TOL:.1e}"
         if at[0] == 0:
             raise ValueError(f"initial operator: {what}")
-        hint = "" if drifted[at] else "; step size too coarse"
-        raise IntegrationError(f"{what} at time {times[at[0]]:g}{hint}")
+        raise IntegrationError(f"{what} at time {times[at[0]]:g}; step size too coarse")
     return stack
 
 
@@ -531,7 +523,7 @@ def evolve_pom_backward(
     The trajectory is parameterized by tau = t_m - t, so times run forward
     from 0 (the measurement) to duration (the earliest instant reached).
     """
-    pi_m = _check_model_operator(model, pi_m)
+    pi_m = as_operator(_check_model_operator(model, pi_m))  # finite before the Hermiticity test, which warns on inf
     _raise_if_issues(_hermitian_positive_issues("outcome operator", pi_m))
     return Trajectory(*_run(model, "pom-backward", pi_m, [duration], config)[:2])
 

@@ -30,7 +30,7 @@ from .model import (
 )
 from .operators import as_operator, symmetrize, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
-from .tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS, RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
+from .tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS, POSITIVITY_DRIFT_TOL, RAW_SUM_TOL, RETRODICTIVE_EIG_TOL
 
 __all__ = [
     "NEGATIVE_PROB_TOL",
@@ -102,6 +102,14 @@ def normalize_to_retrodictive(pi) -> DensityOperator:
     if tr <= NORMALIZE_TRACE_FLOOR:
         raise ValueError(f"outcome operator trace {tr:.3e} is too small to normalize")
     return DensityOperator(pi / tr, eig_tol=RETRODICTIVE_EIG_TOL)
+
+
+def _retrodictive_op(element: np.ndarray) -> np.ndarray:
+    """normalize_to_retrodictive(element).op, byte for byte, for an exactly Hermitian, finite element with no
+    eigenvalue below -POSITIVITY_DRIFT_TOL (_backward_elements'): above twice the trace that takes that bound
+    to -RETRODICTIVE_EIG_TOL (twice, for its round-off), none of that function's checks can fail."""
+    tr = trace(element).real
+    return element / tr if tr > 2.0 * POSITIVITY_DRIFT_TOL / RETRODICTIVE_EIG_TOL else normalize_to_retrodictive(element).op
 
 
 def preparation_operators(
@@ -202,9 +210,9 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     """
     j = _label_index(scenario.pom.labels, outcome, "outcome")
     (element,) = _backward_elements(scenario, [j], scenario.t_p)
-    rho_retr = normalize_to_retrodictive(element)
+    rho_retr = _retrodictive_op(element)
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
-    raw = _clamp_raw(trace(rho_retr.op @ np.array(lambdas)).real, "preparation weight")
+    raw = _clamp_raw(trace(rho_retr @ np.array(lambdas)).real, "preparation weight")
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("outcome is impossible under every preparation in the ensemble")

@@ -18,7 +18,6 @@ EIGENSOLVER_HERMITICITY_TOL = 1e-8  # Hermiticity demanded by hermitian_eigenval
 # Evolution guards (dynamics)
 TRACE_DRIFT_TOL = 1e-8  # |trace - 1| allowed on recorded evolved states
 POSITIVITY_DRIFT_TOL = 1e-7  # eigenvalue negativity allowed on recorded evolved states
-HERMITICITY_STEP_TOL = 1e-10  # hermiticity drift of a recorded evolved state, relative to state scale
 RETRODICTIVE_RHS_TRACE_TOL = 1e-8  # |trace - 1| of a state passed to retrodictive_rhs
 
 # Inference

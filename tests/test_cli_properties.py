@@ -296,3 +296,54 @@ def test_one_line_reason_on_mutated_command_lines(tmp_path_factory, argv):
     else:
         assert reason.count("\n") == 1 and reason.endswith("\n") and len(reason) > 1, reason
     assert "Traceback" not in reason
+
+
+def _hermitian(theta: float, phi: float, weights: tuple[float, float]) -> list:
+    """weights[0] P + weights[1] (I - P), for P the pure state at (theta, phi), as [re, im] pairs."""
+    ket = [math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)]
+    p = [[a * complex(b).conjugate() for b in ket] for a in ket]
+    return _pairs([[weights[1] * (r == c) + (weights[0] - weights[1]) * p[r][c] for c in range(2)] for r in range(2)])
+
+
+@st.composite
+def faulty_initials(draw):
+    """An inline --initial that is not a usable operator of the demo's dimension 2, and its fault."""
+    fault = draw(st.sampled_from(["garbage", "non-finite", "shape", "not Hermitian", "not positive", "zero trace"]))
+    if fault == "garbage":
+        return fault, draw(st.sampled_from(["[[", "nan", '"+"', "[]", "[[1.0, 0.0]]", "[[[1, 0], [0]]]", '[[["a", 0]]]', "{}"]))
+    matrix = draw(pure_state())
+    if fault == "non-finite":
+        row, col, part = (draw(st.integers(0, 1)) for _ in range(3))
+        matrix[row][col][part] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "shape":
+        matrix = draw(st.sampled_from([[[[1.0, 0.0]]], _pairs([[1.0 / 3.0 * (r == c) for c in range(3)] for r in range(3)])]))
+    elif fault == "not Hermitian":
+        matrix[0][1][draw(st.integers(0, 1))] += draw(st.floats(1e-6, 1.0))
+    elif fault == "not positive":
+        low = draw(st.floats(1e-3, 1.0))
+        matrix = _hermitian(draw(ANGLES), draw(ANGLES), (1.0 + low, -low))
+    else:
+        scale = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+        matrix = _hermitian(draw(ANGLES), draw(ANGLES), (scale, -scale))
+    return fault, json.dumps(matrix)
+
+
+@settings(derandomize=True, max_examples=150, deadline=10_000)
+@given(mode=st.sampled_from(["predictive", "pom-backward", "retrodictive"]), initial=faulty_initials())
+@example(mode="retrodictive", initial=("zero trace", json.dumps(_pairs([[0.0, 0.0], [0.0, 0.0]]))))
+@example(mode="retrodictive", initial=("not positive", json.dumps(_pairs([[1.5, 0.0], [0.0, -0.5]]))))
+def test_one_line_reason_on_faulty_inline_initial_operators(tmp_path_factory, mode, initial):
+    fault, text = initial
+    out_path = tmp_path_factory.mktemp("initial") / "trajectory.csv"
+    argv = ["evolve", str(SCENARIOS_DIR / "atom_demo.json"), "--mode", mode, "--initial", text, "--out", str(out_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # The zero operator is a positive outcome operator, which carried backward stays zero.
+    if mode == "pom-backward" and fault == "zero trace" and not any(x for row in json.loads(text) for z in row for x in z):
+        assert code == 0 and err.getvalue() == ""
+        return
+    reason = err.getvalue()
+    assert code == 2, (fault, reason)
+    assert reason.count("\n") == 1 and reason.endswith("\n") and len(reason) > 1, reason
+    assert out.getvalue() == "" and not out_path.exists()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from retrolind import (
     collapse_time_sweep,
     evolve_pom_backward,
     evolve_predictive,
+    load_scenario,
     normalize_to_retrodictive,
     predict_outcome_probs,
     preparation_operators,
@@ -25,10 +27,11 @@ from retrolind import (
 )
 from retrolind import dynamics, inference
 from retrolind.atom import analytic_preparation_probability, demo_scenario
-from retrolind.tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS
+from retrolind.tolerances import MAX_RECORDED_BYTES, MAX_RK4_STEPS, NORMALIZE_TRACE_FLOOR, POSITIVITY_DRIFT_TOL, RETRODICTIVE_EIG_TOL
 
 from scenario_factory import random_density, random_model, random_pom_elements, random_scenario
 
+SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 HALF_LIFE_WINDOW = 2.0 * math.log(2.0)
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -88,6 +91,57 @@ class TestNormalizeToRetrodictive:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             normalize_to_retrodictive(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def _guarded_element(rng: np.random.Generator, dim: int, tr: float) -> np.ndarray:
+    """One element of a guarded stack: trace tr within round-off, and at dims above 1
+    a lowest eigenvalue in [-POSITIVITY_DRIFT_TOL, POSITIVITY_DRIFT_TOL], in a random basis."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis = np.linalg.qr(g)[0]
+    spectrum = np.array([tr])
+    if dim > 1:
+        low, rest = POSITIVITY_DRIFT_TOL * rng.uniform(-0.999, 1.0), rng.uniform(0.0, 1.0, dim - 1)
+        spectrum = np.append(low, rest * ((tr - low) / rest.sum()))
+    coords = dynamics._to_real((basis * spectrum) @ basis.conj().T)
+    return dynamics._guard(np.zeros(1), coords[None], check_trace=False)[0]
+
+
+def _normalized(normalize, element):
+    try:
+        return normalize(element).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestRetrodictiveOperator:
+    """The retrodictive route normalizes a guarded element itself where
+    normalize_to_retrodictive's checks cannot fail, with its bytes and errors."""
+
+    def test_matches_the_public_normalization(self):
+        rng = np.random.default_rng(91)
+        # Above twice the trace that takes an eigenvalue of -POSITIVITY_DRIFT_TOL to -RETRODICTIVE_EIG_TOL.
+        threshold, floor = 2.0 * POSITIVITY_DRIFT_TOL / RETRODICTIVE_EIG_TOL, NORMALIZE_TRACE_FLOOR
+        traces = [threshold * (1.0 + side) for side in (-1e-9, -1e-15, 1e-15, 1e-9)] * 10
+        traces += [floor * (1.0 + side) for side in (-1e-9, 0.0, 1e-9)] * 10
+        traces += list(rng.uniform(0.1 * threshold, threshold, 100)) + list(10.0 ** rng.uniform(-13.0, 1.0, 200))
+        cases = [(tr, _guarded_element(rng, int(rng.integers(1, 5)), tr)) for tr in traces]
+        cases += [(floor, np.diag([floor, 0.0]).astype(complex)), (0.0, np.zeros((3, 3), dtype=complex))]
+        kinds = []
+        for tr, element in cases:
+            public = _normalized(lambda e: normalize_to_retrodictive(e).op, element)
+            assert _normalized(inference._retrodictive_op, element) == public
+            kinds.append("normalized" if isinstance(public, bytes) else "small" if "too small" in public[1] else "negative")
+        assert 100 < kinds.count("normalized") and 20 < kinds.count("small") and 20 < kinds.count("negative")
+        # Within a tenth of the threshold, dividing by the trace takes an eigenvalue below -RETRODICTIVE_EIG_TOL.
+        assert any(kind == "negative" and tr > 0.1 * threshold for (tr, _), kind in zip(cases, kinds))
+
+    def test_a_passing_retrodiction_runs_no_eigensolver(self, monkeypatch):
+        scenario = load_scenario(SCENARIOS_DIR / "atom_demo.json")
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        for outcome in scenario.pom.labels:
+            retrodict_preparation_probs(scenario, outcome)
+        assert calls == []
 
 
 class TestPreparationOperators:
