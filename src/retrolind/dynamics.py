@@ -20,9 +20,9 @@ the negatives of the corresponding d/dt forms:
 
 The identity is a fixed point of the outcome-operator equation, and the
 final nonlinear term keeps the retrodictive state normalized.  The
-evolutions carry Hermitian operators in real coordinates (see _to_real),
-where the linear parts are predictive_generator's G as a real matrix L and
-its adjoint; the operator-form functions are the reference definitions.
+evolutions carry Hermitian operators in real coordinates (see _to_real), where the
+linear parts are a real matrix L and its adjoint (see _model_generator);
+predictive_generator and pom_backward_generator are the complex references.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .operators import _hermitian_excess, as_operator, dagger, scale_of, trace
-from .tolerances import HERMITICITY_TOL, MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
+from .operators import as_operator, dagger, trace
+from .tolerances import MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
 __all__ = [
     "TRACE_DRIFT_TOL",
@@ -111,7 +111,11 @@ def _check_model_operator(model: LindbladModel, op) -> np.ndarray:
 
 def predictive_rhs(model: LindbladModel, rho) -> np.ndarray:
     """Forward-in-t derivative of a predictive state."""
-    rho = _check_model_operator(model, rho)
+    return _predictive_rhs(model, _check_model_operator(model, rho))
+
+
+def _predictive_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """predictive_rhs, unchecked, on an operator or a (..., d, d) stack of them."""
     h = model.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     for a in model.jump_ops:
@@ -175,15 +179,14 @@ def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
 
 @cache
 def _coordinates(dim: int) -> SimpleNamespace:
-    """Index tables for dim x dim operators: the row-major flat indices of the diagonal
-    and of the upper and lower triangles; on a flat operator's (re, im) float view, the
+    """Index tables for dim x dim operators: on a flat operator's (re, im) float view, the
     coordinates (pick: the diagonal, then the real and the imaginary parts of the upper
     triangle), their mirror images and signs; weights, so Tr(A B) = sum_k w_k a_k b_k."""
     i, j = np.triu_indices(dim, 1)
     diagonal, upper, lower = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
     pick, mirror = (np.concatenate([2 * diagonal, 2 * part, 2 * part + 1]) for part in (upper, lower))
     sign, weights = (np.repeat(values, [dim, len(i), len(i)]) for values in ([1.0, 1.0, -1.0], [1.0, 2.0, 2.0]))
-    return SimpleNamespace(diagonal=diagonal, upper=upper, lower=lower, pick=pick, mirror=mirror, sign=sign, weights=weights)
+    return SimpleNamespace(pick=pick, mirror=mirror, sign=sign, weights=weights)
 
 
 def _to_real(a: np.ndarray) -> np.ndarray:
@@ -206,24 +209,18 @@ def _from_real(x: np.ndarray) -> np.ndarray:
 
 
 def _model_generator(model: LindbladModel, backward: bool = False) -> np.ndarray:
-    """predictive_generator's G in real coordinates: L, whose column k, G on the
-    operator of coordinate k, is read off one column of G or two.  Held by the model,
-    read-only, from the first call.  If backward, L's adjoint W^-1 L^T W for W the
-    weights, exact in powers of 2.  G reshuffled to (i k, j l) must be Hermitian within
-    twice what validation admits of H, relative to the scales of H and the A_q^dag A_q."""
+    """L, the predictive equation in real coordinates, built d columns at a time: column k is
+    _to_real, the Hermitian part, of _predictive_rhs on the operator of coordinate k, so an H
+    admitted with an anti-Hermitian residue evolves under its Hermitian part.  Held by the model,
+    read-only, from the first call.  If backward, L's adjoint W^-1 L^T W for W the weights, exact in powers of 2."""
     gen = vars(model).get("_generator")
     if gen is None:
-        g, dim = predictive_generator(model), model.dim
-        reshuffled = g.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
-        terms = scale_of(model.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in model.jump_ops)
-        if _hermitian_excess(reshuffled, 2.0 * HERMITICITY_TOL, terms):
-            raise IntegrationError(f"generator does not preserve Hermiticity within {2.0 * HERMITICITY_TOL:.1e} * scale")
-        c = _coordinates(dim)
-        rows = g[np.concatenate([c.diagonal, c.upper])]
-        up, low = rows[:, c.upper], rows[:, c.lower]
-        cols = np.concatenate([rows[:, c.diagonal], up + low, 1j * (up - low)], axis=1)
-        gen = vars(model)["_generator"] = np.concatenate([cols.real, cols[dim:].imag])
+        dim = model.dim
+        gen = np.empty((dim * dim, dim * dim))
+        for k in range(0, dim * dim, dim):
+            gen[:, k : k + dim] = _to_real(_predictive_rhs(model, _from_real(np.eye(dim, dim * dim, k)))).T
         gen.setflags(write=False)
+        vars(model)["_generator"] = gen
     w = _coordinates(model.dim).weights
     return (gen.T * w) / w[:, None] if backward else gen
 

@@ -96,12 +96,12 @@ def hermitian_deviation(a):
     return _per_matrix(np.max(np.abs(a - dagger(a)), axis=(-2, -1)))
 
 
-def _hermitian_excess(a, tol, scale=None):
-    """Whether A - A^dagger exceeds tol * scale, by default scale_of(A), per
-    matrix of a stack, decided on A/4 so that no finite entry overflows; a
-    message reports the deviation as 4 * hermitian_deviation(A / 4), inf where it would."""
+def _hermitian_excess(a, tol):
+    """Whether A - A^dagger exceeds tol * scale_of(A), per matrix of a stack,
+    decided on A/4 so that no finite entry overflows; a message reports the
+    deviation as 4 * hermitian_deviation(A / 4), inf where it would."""
     a = 0.25 * np.asarray(a)  # not a / 4, which numpy takes as a slower complex division
-    return hermitian_deviation(a) > tol * (scale_of(a) if scale is None else 0.25 * scale)
+    return hermitian_deviation(a) > tol * scale_of(a)
 
 
 def frobenius_distance(a, b) -> float:

@@ -6,7 +6,7 @@ relative to the largest entry modulus of the operand (``operators.scale_of``).
 """
 
 # Scenario invariants (model)
-HERMITICITY_TOL = 1e-10  # Hermiticity of scenario operators, relative; twice it, of the generator (dynamics)
+HERMITICITY_TOL = 1e-10  # Hermiticity of scenario operators, relative
 TRACE_TOL = 1e-10  # |trace - 1| of a density operator
 EIGENVALUE_TOL = 1e-9  # absolute negativity allowance on eigenvalues
 POM_SUM_TOL = 1e-9  # entrywise deviation of the outcome-operator sum from identity
@@ -34,7 +34,7 @@ PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes
 # Work budget, checked at validation (model)
 MAX_RK4_STEPS = 1e7  # RK4 steps of one integration over the window
 MAX_RECORDED_BYTES = 2.0**30  # bytes of the recorded states of one integrated operator
-MAX_GENERATOR_BYTES = 2.0**28  # bytes of one d^2 x d^2 generator, so dim <= 64
+MAX_GENERATOR_BYTES = 2.0**28  # d^4 x 16 bytes, twice the real d^2 x d^2 generator: its build peak (validation); dim <= 64
 
 # Memory held by a model (dynamics)
 MAX_HELD_PLANS = 64.0  # RK4 step plans one model holds, the least recently used dropped first

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -395,6 +396,11 @@ class TestEvolveRetrodictive:
             evolve_retrodictive(model, rho, 1.0)
 
 
+def _edge_hamiltonian_and_jumps(jumps: int, second: complex):
+    lower = np.array([[0.0, 0.0], [1e-3, 0.0]], dtype=complex)
+    return np.diag([1.0 + 0.5e-10j, second]), (lower,) * jumps
+
+
 def _evolve_mode(mode: str, model, op: np.ndarray, duration: float) -> Trajectory:
     config = IntegratorConfig(400, 40)
     if mode == "predictive":
@@ -408,29 +414,25 @@ MODES = ("predictive", "pom-backward", "retrodictive")
 
 
 class TestRecordedStateGuards:
-    def test_hermiticity_drift_is_an_integration_error(self, monkeypatch):
-        model = random_model(np.random.default_rng(31), dim=3)
-        # rho -> -i H rho alone does not preserve Hermiticity.
-        monkeypatch.setattr(
-            dynamics, "predictive_generator", lambda m: -1j * np.kron(m.hamiltonian, np.eye(m.dim))
-        )
-        rho = DensityOperator(np.eye(3, dtype=complex) / 3.0)
-        # Evolved in Hermitian coordinates, no record can drift: the generator is refused before a step.
-        with pytest.raises(IntegrationError, match=r"^generator does not preserve Hermiticity within 2\.0e-10 \* scale$") as err:
-            evolve_predictive(model, rho, 0.5, IntegratorConfig(400, 40))
-        assert err.value.step is None
-
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("jumps", [0, 1])
     @pytest.mark.parametrize("second", [-1.0 - 0.5e-10j, 1.0 - 0.5e-10j])
     def test_a_hamiltonian_at_the_validation_edge_evolves(self, mode, jumps, second):
-        # H - H^dag reaches exactly HERMITICITY_TOL * scale(H); reshuffled, G is off by twice that,
-        # which against G's own scale (1e-10 for the second H, near the identity) would be 100%.
-        lower = np.array([[0.0, 0.0], [1e-3, 0.0]], dtype=complex)
-        model = LindbladModel(2, np.diag([1.0 + 0.5e-10j, second]), (lower,) * jumps)
+        # H - H^dag reaches exactly HERMITICITY_TOL * scale(H), which validation admits.
+        model = LindbladModel(2, *_edge_hamiltonian_and_jumps(jumps, second))
         traj = _evolve_mode(mode, model, PLUS, 0.5)
         assert len(traj) == 6
         assert np.all(np.isfinite(traj.states))
+
+    @pytest.mark.parametrize("jumps", [0, 1])
+    @pytest.mark.parametrize("second", [-1.0 - 0.5e-10j, 1.0 - 0.5e-10j])
+    def test_a_hamiltonian_at_the_validation_edge_evolves_under_its_hermitian_part(self, jumps, second):
+        h, jump_ops = _edge_hamiltonian_and_jumps(jumps, second)
+        edge, hermitian = LindbladModel(2, h, jump_ops), LindbladModel(2, symmetrize(h), jump_ops)
+        terms = scale_of(h) + sum(scale_of(dagger(a) @ a) for a in jump_ops)
+        for backward in (False, True):
+            gap = dynamics._model_generator(edge, backward) - dynamics._model_generator(hermitian, backward)
+            assert np.max(np.abs(gap)) <= 1e-15 * terms
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_recorded_state_is_exactly_hermitian(self, mode):
@@ -442,10 +444,10 @@ class TestRecordedStateGuards:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_guarded_run_neither_checks_drift_nor_symmetrizes(self, mode, monkeypatch):
-        # Records made by _from_real are exactly Hermitian, so the guard takes them as they are.
+        # Records made by _from_real are exactly Hermitian, so the guard takes them as they are;
+        # the generator, built from the Hermitian parts of its columns, checks none either.
         rng = np.random.default_rng(34)
         model = random_model(rng, dim=3)
-        dynamics._model_generator(model)  # the generator's own Hermiticity check, once per model
         calls = []
         for module in (dynamics, operators):
             for name in ("_hermitian_excess", "symmetrize"):
@@ -765,15 +767,15 @@ class TestEvolveShape:
         np.testing.assert_array_equal(traj.states[0], symmetrize(ops))
 
 
-def _refuse_to_build(model):
+def _refuse_to_build(model, *ops):
     raise AssertionError("a zero-length evolution built a generator")
 
 
 class TestZeroLengthEvolution:
     @pytest.mark.parametrize("mode", MODES)
     def test_builds_no_generator(self, mode, monkeypatch):
-        monkeypatch.setattr(dynamics, "predictive_generator", _refuse_to_build)
-        monkeypatch.setattr(dynamics, "pom_backward_generator", _refuse_to_build)
+        for name in ("predictive_generator", "pom_backward_generator", "_predictive_rhs"):
+            monkeypatch.setattr(dynamics, name, _refuse_to_build)
         rng = np.random.default_rng(46)
         model = random_model(rng, dim=3)
         rho = random_density(rng, 3)
@@ -856,6 +858,18 @@ class TestHermitianCoordinates:
         # The adjoint under Tr(A B) = sum_k w_k a_k b_k: W L* = (W L)^T, exactly.
         w = dynamics._coordinates(dim).weights
         assert (w[:, None] * dynamics._model_generator(model, backward=True)).tobytes() == np.ascontiguousarray((w[:, None] * gen).T).tobytes()
+
+    def test_building_the_generator_peaks_below_twice_its_bytes(self):
+        # A complex d^4 array alone would take twice L's bytes.
+        model = random_model(np.random.default_rng(80), dim=16)
+        tracemalloc.start()
+        try:
+            gen = dynamics._model_generator(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.nbytes == 16**4 * 8
+        assert peak <= 2 * gen.nbytes
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_made_operators_are_what_symmetrize_makes_of_them(self, dim):

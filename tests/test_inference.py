@@ -365,6 +365,11 @@ def _anti_dissipator(rate, pauli):
     return rate * (np.eye(4) - np.kron(pauli, pauli))
 
 
+def _flat_rhs(matrix):
+    """An operator-form right-hand side that applies matrix to row-major-flattened operators."""
+    return lambda model, ops: (ops.reshape(*ops.shape[:-2], -1) @ matrix.T).reshape(ops.shape)
+
+
 class TestCollapseTimeChains:
     """Each direction of a sweep is one chain of segments, guarded in one pass."""
 
@@ -405,7 +410,7 @@ class TestCollapseTimeChains:
     def test_guard_failure_names_the_time_along_the_chain(self, drift, failure, monkeypatch):
         # Segments of 0.25 recorded every 0.1: the first record past 0.55 is
         # 0.6 along the chain, 0.1 into the third segment, at t = 1.6 or 1.4.
-        monkeypatch.setattr(dynamics, "predictive_generator", lambda m: drift.astype(complex))
+        monkeypatch.setattr(dynamics, "_predictive_rhs", _flat_rhs(drift))
         with pytest.raises(IntegrationError, match=f"^{failure} at time 0\\.6; step size too coarse$"):
             collapse_time_sweep(_closed_qubit(1.0, 2.0), "o", "+", 5)
 
@@ -414,7 +419,7 @@ class TestCollapseTimeChains:
         # state to (1 - exp(200 t)) / 2 at once; the state overflows near
         # t = 3.5, in the second of the segments of 2.5.
         drift = _anti_dissipator(100.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        monkeypatch.setattr(dynamics, "predictive_generator", lambda m: drift.astype(complex))
+        monkeypatch.setattr(dynamics, "_predictive_rhs", _flat_rhs(drift))
         with pytest.raises(IntegrationError, match=r" at time 0\.1; step size too coarse$"):
             collapse_time_sweep(_closed_qubit(0.0, 10.0), "e", "+", 5)
 
@@ -571,13 +576,13 @@ class TestOutcomePairing:
         assert [p for _, p in collapse_time_sweep(scenario, 0, 2, 5)] == expected
 
 
-def _refuse_to_build(model):
+def _refuse_to_build(model, *ops):
     raise AssertionError("a zero-length evolution built a generator")
 
 
 def test_zero_window_builds_no_generator(monkeypatch):
-    monkeypatch.setattr(dynamics, "predictive_generator", _refuse_to_build)
-    monkeypatch.setattr(dynamics, "pom_backward_generator", _refuse_to_build)
+    for name in ("predictive_generator", "pom_backward_generator", "_predictive_rhs"):
+        monkeypatch.setattr(dynamics, name, _refuse_to_build)
     scenario = demo_scenario(1.0, 0.0)
     assert retrodict_preparation_probs(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
     assert bayes_from_predictive(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
@@ -585,16 +590,34 @@ def test_zero_window_builds_no_generator(monkeypatch):
 
 
 def test_one_generator_per_model(monkeypatch):
-    builds, build = [], dynamics.predictive_generator
+    builds, rhs = [], dynamics._predictive_rhs
 
-    def counting(model):
+    def counting(model, ops):
         builds.append(model)
-        return build(model)
+        return rhs(model, ops)
 
-    monkeypatch.setattr(dynamics, "predictive_generator", counting)
+    monkeypatch.setattr(dynamics, "_predictive_rhs", counting)
     scenario = demo_scenario(1.0, 0.5)
     for _ in range(2):
         retrodict_preparation_probs(scenario, "+")
         bayes_from_predictive(scenario, "-")
         collapse_time_sweep(scenario, "+", "-", 5)
-    assert builds == [scenario.model]
+    # One build, which applies the right-hand side to d blocks of d basis operators.
+    assert builds == [scenario.model] * scenario.model.dim
+
+
+def _refuse_reference_build(model):
+    raise AssertionError("a production path built a complex reference generator")
+
+
+def test_no_evolution_builds_a_complex_reference_generator(monkeypatch):
+    monkeypatch.setattr(dynamics, "predictive_generator", _refuse_reference_build)
+    monkeypatch.setattr(dynamics, "pom_backward_generator", _refuse_reference_build)
+    scenario = demo_scenario(1.0, 0.5)
+    model, config, plus = scenario.model, scenario.integrator, scenario.ensemble.states[0]
+    assert len(dynamics.evolve_predictive(model, plus, 0.5, config)) > 1
+    assert len(dynamics.evolve_pom_backward(model, scenario.pom.elements[0], 0.5, config)) > 1
+    assert len(dynamics.evolve_retrodictive(model, plus, 0.5, config)) > 1
+    assert retrodict_preparation_probs(scenario, "+").probs.sum() == pytest.approx(1.0)
+    assert bayes_from_predictive(scenario, "-").probs.sum() == pytest.approx(1.0)
+    assert len(collapse_time_sweep(scenario, "+", "-", 5)) == 5
