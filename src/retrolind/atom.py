@@ -69,12 +69,11 @@ def demo_scenario(
     projecting onto (|e> +/- |g>)/sqrt(2).
     """
     _check_rates(gamma, window, "window")
-    plus = np.full((2, 2), 0.5, dtype=np.complex128)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=np.complex128)
+    ensemble = plus_minus_ensemble()
     return Scenario(
         model=two_level_decay_model(gamma),
-        ensemble=plus_minus_ensemble(),
-        pom=Pom((plus, minus), ("+", "-")),
+        ensemble=ensemble,
+        pom=Pom(tuple(state.op for state in ensemble.states), ensemble.labels),
         t_p=0.0,
         t_m=window,
         integrator=integrator if integrator is not None else IntegratorConfig(),

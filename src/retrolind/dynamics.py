@@ -225,28 +225,6 @@ def _model_generator(model: LindbladModel, backward: bool = False) -> np.ndarray
     return (gen.T * w) / w[:, None] if backward else gen
 
 
-def _held(model: LindbladModel, backward: bool, h: float, m: int, build: Callable[[], np.ndarray]) -> np.ndarray:
-    """The step plan S^m - I (see _linear) of the model's generator, or of
-    its adjoint if backward, that the model holds, keyed on
-    (backward, h, m), or else build(), which the model then holds, read-only,
-    next to its generator.  The least recently used plans are dropped until
-    the new one fits both MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model
-    holds at most one generator's worth; one larger than that is not held."""
-    plans = vars(model).setdefault("_plans", {})
-    key = (backward, h, m)
-    inc = plans.pop(key, None)
-    if inc is None:
-        inc = build()
-        if inc.nbytes > MAX_GENERATOR_BYTES:
-            return inc
-        inc.setflags(write=False)
-        held = sum(other.nbytes for other in plans.values())
-        while plans and (len(plans) >= MAX_HELD_PLANS or held + inc.nbytes > MAX_GENERATOR_BYTES):
-            held -= plans.pop(next(iter(plans))).nbytes
-    plans[key] = inc  # insertion order is the order of last use
-    return inc
-
-
 def _rk4_step(rhs: _Rhs, x: np.ndarray, h: float) -> np.ndarray:
     k1 = rhs(x)
     k2 = rhs(x + (0.5 * h) * k1)
@@ -260,7 +238,6 @@ def rk4_integrate(
     x0,
     duration: float,
     config: IntegratorConfig = IntegratorConfig(),
-    linear: bool = False,
     _advance: Callable[[_Rhs, float], _Advance] | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
@@ -273,10 +250,9 @@ def rk4_integrate(
     product overflowed, gives the finite record.  numpy's overflow and
     invalid-value warnings are silenced, since that error reports them.
 
-    advance takes m stage-by-stage steps of rhs, or, with linear=True, for a
-    time-independent linear map rhs v -> G v on the leading axis of x0, one
-    product with a power of its step matrix (see _linear).  _advance(rhs, h),
-    if given, makes the advance instead, from the rhs passed here.  The
+    advance takes m stage-by-stage steps of rhs, the reference that every
+    other path is tested against; _advance(rhs, h), if given, makes the
+    advance instead, from the rhs passed here (see _linear and _krylov).  The
     records are float64 while x0 and every advance are real, else complex128."""
     if not math.isfinite(duration) or duration < 0.0:
         raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -289,7 +265,7 @@ def rk4_integrate(
     states = np.empty((len(steps), *x.shape), dtype=x.dtype)
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = (_advance or (_linear if linear else _staged))(rhs, h)
+        advance = (_advance or _staged)(rhs, h)
         k = 0
         for r in range(1, len(steps)):
             m = min(config.record_every, n_steps - k)
@@ -331,36 +307,48 @@ def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
         base = 2.0 * base + base @ base
 
 
-def _linear(rhs: _Rhs, h: float, plan: Callable[..., np.ndarray] | None = None) -> _Advance:
-    """The advance x -> S^m x for the RK4 step matrix S = sum_{k<=4} (hG)^k / k!
-    of a linear rhs v -> G v, as x + (S^m - I) x: one product carries every
-    column of x from one record to the next, and the step plan S^m - I,
-    formed on the increments by _power_increment, keeps the round-off of a
-    record that of one step.  S - I is one RK4 step of rhs on the identity
-    less the identity.  Every plan comes from the store plan(h, m, build)
-    (see _held): the model's, or by default one for this integration alone,
-    so a held S is built once.  The current stride's plan is kept at hand.
+def _plan(model: LindbladModel, backward: bool, rhs: _Rhs, h: float, m: int, size: int) -> np.ndarray:
+    """The step plan S^m - I (see _linear) of rhs, the model's generator or, if backward, its
+    adjoint, on size coordinates, that the model holds, keyed on (backward, h, m); else built,
+    S - I as one RK4 step of rhs on the identity less the identity, S^m - I by _power_increment
+    of the held S - I, and held, read-only.  The least recently used plans are dropped until
+    the new one fits both MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model holds at most
+    one generator's worth; one larger than that is not held."""
+    plans = vars(model).setdefault("_plans", {})
+    key = (backward, h, m)
+    inc = plans.pop(key, None)
+    if inc is None:
+        if m > 1:
+            inc = _power_increment(_plan(model, backward, rhs, h, 1, size), m)
+        else:
+            eye = np.eye(size)
+            inc = _rk4_step(rhs, eye, h) - eye
+        if inc.nbytes > MAX_GENERATOR_BYTES:
+            return inc
+        inc.setflags(write=False)
+        held = sum(other.nbytes for other in plans.values())
+        while plans and (len(plans) >= MAX_HELD_PLANS or held + inc.nbytes > MAX_GENERATOR_BYTES):
+            held -= plans.pop(next(iter(plans))).nbytes
+    plans[key] = inc  # insertion order is the order of last use
+    return inc
+
+
+def _linear(model: LindbladModel, backward: bool, rhs: _Rhs, h: float) -> _Advance:
+    """The advance x -> S^m x for the RK4 step matrix S = sum_{k<=4} (hG)^k / k! of a linear
+    rhs v -> G v, as x + (S^m - I) x: one product carries every column of x from one record to
+    the next, and the step plan S^m - I that _plan holds, formed on the increments, keeps the
+    round-off of a record that of one step.  The current stride's plan is kept at hand.
 
     S is built by _rk4_step on the rhs that rk4_integrate received, not by
     Horner's rule on G, because the benchmark's tracer counts RK4 steps as
     calls of that rhs; Horner's rule, and dropping rk4_integrate's private
     keyword, wait until the benchmark counts steps from the integrator."""
-    plan = plan or partial(_held, SimpleNamespace(), False)
     stride, jump = 0, None
-
-    def increment(m: int, x: np.ndarray) -> np.ndarray:
-        def build() -> np.ndarray:
-            if m > 1:
-                return _power_increment(increment(1, x), m)
-            eye = np.eye(len(x), dtype=x.dtype)
-            return _rk4_step(rhs, eye, h) - eye
-
-        return plan(h, m, build)
 
     def advance(x: np.ndarray, m: int) -> np.ndarray:
         nonlocal stride, jump
         if m != stride:
-            stride, jump = m, increment(m, x)
+            stride, jump = m, _plan(model, backward, rhs, h, m, len(x))
         return x + jump @ x
 
     return advance
@@ -424,7 +412,7 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
     segments by the "predictive", "pom-backward" or "retrodictive" equation,
     each from the last one's final, in the real coordinates of ops symmetrized
     (_to_real; a stack's as (d^2, n) columns): the linear ones on the step
-    plans the model holds (see _linear and _held), the retrodictive one in a
+    plans the model holds (see _linear and _plan), the retrodictive one in a
     Krylov basis (see _krylov).  Returns the times along the run, its records
     (records, *ops.shape), made complex and guarded in one _guard pass, and the
     indices of the start and of each segment's end.  A segment that stops being
@@ -438,7 +426,7 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
         def rhs(v: np.ndarray) -> np.ndarray:
             return _model_generator(model, backward) @ v
 
-        advance = partial(_linear, plan=partial(_held, model, backward))
+        advance = partial(_linear, model, backward)
     x0 = x = _to_real(ops).T
     times, records, ends, failure = [], [], [0], None
     start = 0.0

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _linear_advance():
+    """rk4_integrate's _advance for a linear rhs, on step plans held for one integration alone."""
+    return partial(dynamics._linear, SimpleNamespace(), False)
 
 
 class TestTrajectory:
@@ -220,8 +226,9 @@ class TestRk4Integrate:
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_a_real_start_under_a_complex_rhs_records_complex_states(self, linear):
-        real = rk4_integrate(lambda v: 1j * v, np.array([1.0]), 3.0, linear=linear)
-        complex_ = rk4_integrate(lambda v: 1j * v, np.array([1.0 + 0.0j]), 3.0, linear=linear)
+        advance = _linear_advance if linear else lambda: None
+        real = rk4_integrate(lambda v: 1j * v, np.array([1.0]), 3.0, _advance=advance())
+        complex_ = rk4_integrate(lambda v: 1j * v, np.array([1.0 + 0.0j]), 3.0, _advance=advance())
         assert real.states.dtype == np.complex128
         assert real.states.tobytes() == complex_.states.tobytes()
 
@@ -597,6 +604,22 @@ class TestPositivityCertificate:
                 failed += 1
         assert passed > 50 and failed > 50
 
+    @pytest.mark.parametrize("low", [-TAU, -2.0 * TAU])
+    def test_eigvalsh_decides_a_stack_the_factorisation_does_not_certify(self, low, monkeypatch):
+        # Shifted by TAU * I, diag(1 - low, low) is singular or indefinite, so Cholesky
+        # fails; eigvalsh gives low exactly, which passes at -TAU itself.
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: calls.append(name) or solve(a))
+        stack = np.diag([1.0 - low, low]).astype(complex)[None]
+        if low == -TAU:
+            assert dynamics._guard(np.zeros(1), dynamics._to_real(stack), check_trace=True).tobytes() == stack.tobytes()
+        else:
+            with pytest.raises(ValueError, match=r"^initial operator: eigenvalue -2\.000e-07 below -1\.0e-07$"):
+                dynamics._guard(np.zeros(1), dynamics._to_real(stack), check_trace=True)
+        assert calls == ["cholesky", "eigvalsh"]
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_a_non_finite_record_is_an_integration_error(self, entry):
         stack = np.array([EXCITED, GROUND, GROUND])
@@ -637,27 +660,28 @@ class TestLinearStepMatrix:
             for gen in (predictive_generator(model), pom_backward_generator(model)):
                 x0 = _random_operator(rng, dim).reshape(-1)
                 staged = rk4_integrate(lambda v: gen @ v, x0, 0.7, config)
-                stepped = rk4_integrate(lambda v: gen @ v, x0, 0.7, config, linear=True)
+                stepped = rk4_integrate(lambda v: gen @ v, x0, 0.7, config, _advance=_linear_advance())
                 np.testing.assert_array_equal(stepped.times, staged.times)
                 for a, b in zip(stepped.states, staged.states):
                     assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_overflow_reports_the_first_step(self, linear):
+        advance = _linear_advance() if linear else None
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
-                rk4_integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0, linear=linear)
+                rk4_integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0, _advance=advance)
         assert err.value.step == 1
 
     def test_overflow_step_is_the_first_non_finite_power(self):
         config = IntegratorConfig(1000, 10)
-        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, linear=True).final
+        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, _advance=_linear_advance()).final
         expected, x = 0, np.array([1e300 + 0.0j])
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(x).all():
                 expected, x = expected + 1, growth * x
             with pytest.raises(IntegrationError) as err:
-                rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, linear=True)
+                rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, _advance=_linear_advance())
         assert 1 < expected < 1000
         assert err.value.step == expected
 
@@ -680,7 +704,7 @@ class TestLinearStepMatrix:
                         if k % record_every == 0 or k == n_steps:
                             times.append(k * h)
                             expected.append(x)
-                    strided = rk4_integrate(lambda v: gen @ v, x0, duration, config, linear=True)
+                    strided = rk4_integrate(lambda v: gen @ v, x0, duration, config, _advance=_linear_advance())
                     np.testing.assert_array_equal(strided.times, times)
                     for a, b in zip(strided.states, expected):
                         assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
@@ -697,7 +721,7 @@ class TestLinearStepMatrix:
             x0 = random_density(rng, dim).reshape(-1)
             step = dynamics._rk4_step(lambda v: gen @ v, np.eye(dim * dim, dtype=complex), 1e-3)
             wide, x = step.astype(np.clongdouble), x0.astype(np.clongdouble)
-            strided = rk4_integrate(lambda v: gen @ v, x0, 5.0, config, linear=True)
+            strided = rk4_integrate(lambda v: gen @ v, x0, 5.0, config, _advance=_linear_advance())
             for state in strided.states[1:]:
                 for _ in range(50):
                     x = wide @ x
@@ -705,13 +729,13 @@ class TestLinearStepMatrix:
 
     def test_overflow_in_mid_interval_reports_the_exact_step(self):
         config = IntegratorConfig(1000, 50)
-        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, linear=True).final
+        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, _advance=_linear_advance()).final
         expected, x = 0, np.array([1e300 + 0.0j])
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(x).all():
                 expected, x = expected + 1, growth * x
         with pytest.raises(IntegrationError) as err:
-            rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, linear=True)
+            rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, _advance=_linear_advance())
         assert expected % 50 != 0
         assert err.value.step == expected
 
@@ -724,7 +748,7 @@ class TestLinearStepMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(step).all()
             assert not np.isfinite(dynamics._power_increment(step - eye, 50) @ x0).all()
-        traj = rk4_integrate(lambda v: gen @ v, x0, 0.2, IntegratorConfig(1000, 50), linear=True)
+        traj = rk4_integrate(lambda v: gen @ v, x0, 0.2, IntegratorConfig(1000, 50), _advance=_linear_advance())
         np.testing.assert_array_equal(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
         for state in traj.states:
             np.testing.assert_array_equal(state, x0)
@@ -735,9 +759,9 @@ class TestLinearStepMatrix:
         for dim in (2, 3, 4):
             gen = pom_backward_generator(random_model(rng, dim=dim))
             block = np.stack([random_density(rng, dim).reshape(-1) for _ in range(4)], axis=1)
-            batched = rk4_integrate(lambda v: gen @ v, block, 0.9, config, linear=True)
+            batched = rk4_integrate(lambda v: gen @ v, block, 0.9, config, _advance=_linear_advance())
             for col in range(block.shape[1]):
-                single = rk4_integrate(lambda v: gen @ v, block[:, col], 0.9, config, linear=True)
+                single = rk4_integrate(lambda v: gen @ v, block[:, col], 0.9, config, _advance=_linear_advance())
                 for a, b in zip(batched.states, single.states):
                     assert np.max(np.abs(a[:, col] - b)) <= 1e-14
 
@@ -823,14 +847,6 @@ class TestHeldStepPlans:
                 assert 0 < _held_bytes(model) <= budget if plans >= 1 else _held_bytes(model) == 0
                 fresh = _evolve_mode(mode, LindbladModel(model.dim, model.hamiltonian, model.jump_ops), rho, t)
                 assert run.states.tobytes() == fresh.states.tobytes()
-
-    def test_a_bare_linear_run_builds_its_step_matrix_once(self, monkeypatch):
-        builds, step = [], dynamics._rk4_step
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or step(*args))
-        gen = predictive_generator(random_model(np.random.default_rng(62), dim=2))
-        run = rk4_integrate(lambda v: gen @ v, EXCITED.reshape(-1), 1.0, IntegratorConfig(23, 10), linear=True)
-        assert np.diff(np.rint(run.times * 23)).tolist() == [10, 10, 3]
-        assert builds == [1]
 
 
 class TestHermitianCoordinates:

@@ -164,6 +164,12 @@ class TestPreparationOperators:
         with pytest.raises(ValueError, match=">= 0"):
             preparation_operators(scenario.ensemble, scenario.model, -0.5)
 
+    def test_rejects_an_ensemble_of_another_dimension(self):
+        ensemble = PreparationEnsemble((1.0,), (DensityOperator(np.eye(3) / 3.0),), ("m",))
+        with pytest.raises(ValueError) as err:
+            preparation_operators(ensemble, two_level_decay_model(1.0), 0.5)
+        assert type(err.value) is ValueError and str(err.value) == "operator shape (3, 3) does not match model dimension 2"
+
 
 class TestPredictOutcomeProbs:
     def test_atom_likelihoods(self):
@@ -191,6 +197,20 @@ class TestPredictOutcomeProbs:
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match=r"known labels: \+, -"):
             predict_outcome_probs(scenario, "up")
+
+    @pytest.mark.parametrize(
+        "query, key, message",
+        [
+            (predict_outcome_probs, 2, "preparation index 2 out of range for 2 entries"),
+            (predict_outcome_probs, -1, "preparation index -1 out of range for 2 entries"),
+            (retrodict_preparation_probs, 2, "outcome index 2 out of range for 2 entries"),
+            (bayes_from_predictive, -1, "outcome index -1 out of range for 2 entries"),
+        ],
+    )
+    def test_an_out_of_range_index_is_refused(self, query, key, message):
+        with pytest.raises(ValueError) as err:
+            query(demo_scenario(1.0, 1.0), key)
+        assert type(err.value) is ValueError and str(err.value) == message
 
     def test_integer_preparation_index(self):
         scenario = demo_scenario(1.0, 1.0)
@@ -226,13 +246,15 @@ class TestRetrodictPreparationProbs:
         shifted = retrodict_preparation_probs(_shifted_demo(gamma, window, t_p=4.0), "+")
         np.testing.assert_allclose(shifted.probs, at_origin.probs, atol=1e-12)
 
-    def test_impossible_outcome_rejected(self):
+    @pytest.mark.parametrize("route", [retrodict_preparation_probs, bayes_from_predictive])
+    def test_impossible_outcome_rejected(self, route):
         ensemble = PreparationEnsemble((1.0,), (DensityOperator(GROUND),), ("g",))
         pom = Pom((EXCITED, GROUND), ("e", "g"))
         model = two_level_decay_model(1.0)
         scenario = Scenario(model, ensemble, pom, t_p=0.0, t_m=0.0)
-        with pytest.raises(ValueError, match="impossible"):
-            retrodict_preparation_probs(scenario, "e")
+        with pytest.raises(ValueError) as err:
+            route(scenario, "e")
+        assert type(err.value) is ValueError and str(err.value) == "outcome is impossible under every preparation in the ensemble"
 
 
 class TestBayesFromPredictive:
@@ -490,18 +512,18 @@ class TestHeldStepPlans:
         monkeypatch.setattr(dynamics, "MAX_HELD_PLANS", 3)
         model = self._scenario().model
         for h in (1.0, 2.0, 3.0, 1.0, 4.0):
-            dynamics._held(model, False, h, 1, lambda: np.zeros((9, 9), dtype=complex))
+            dynamics._plan(model, False, np.zeros_like, h, 1, 9)
         assert [h for _, h, _ in vars(model)["_plans"]] == [3.0, 1.0, 4.0]
 
     def test_the_least_recently_used_plans_are_dropped_until_a_new_one_fits_the_bytes(self, monkeypatch):
-        # dim 3: each plan is one 9 x 9 complex matrix of 1296 bytes.
-        monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", 2.5 * 9 * 9 * 16)
+        # dim 3: each plan is one 9 x 9 real matrix of 648 bytes.
+        monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", 2.5 * 9 * 9 * 8)
         model = self._scenario().model
         for h in (1.0, 2.0, 3.0):
-            dynamics._held(model, False, h, 1, lambda: np.zeros((9, 9), dtype=complex))
+            dynamics._plan(model, False, np.zeros_like, h, 1, 9)
         assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
         # A plan larger than the whole budget is not held and drops none.
-        big = dynamics._held(model, False, 4.0, 1, lambda: np.zeros((18, 18), dtype=complex))
+        big = dynamics._plan(model, False, np.zeros_like, 4.0, 1, 18)
         assert big.shape == (18, 18) and big.flags.writeable
         assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
 

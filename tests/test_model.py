@@ -198,6 +198,55 @@ class TestScenario:
         assert demo_scenario(1.0, 2.5).duration == 2.5
 
 
+def _scenario_of_dims(model_dim: int, ensemble_dim: int, pom_dim: int) -> Scenario:
+    ensemble = PreparationEnsemble((1.0,), (DensityOperator(np.eye(ensemble_dim) / ensemble_dim),), ("m",))
+    pom = Pom((np.eye(pom_dim),), ("all",))
+    return Scenario(LindbladModel(model_dim, np.zeros((model_dim, model_dim))), ensemble, pom, t_p=0.0, t_m=1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PreparationEnsemble((), (), ()), "ensemble: at least one preparation is required (deviation nan)"),
+        (
+            lambda: PreparationEnsemble((1.0,), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b")),
+            "ensemble.priors: 1 priors for 2 states (deviation nan)",
+        ),
+        (
+            lambda: PreparationEnsemble((0.5, 0.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a",)),
+            "ensemble.labels: 1 labels for 2 states (deviation nan)",
+        ),
+        (
+            lambda: PreparationEnsemble((0.5, 0.5), (DensityOperator(PLUS), DensityOperator(np.eye(3) / 3.0)), ("a", "b")),
+            "ensemble states have mixed dimensions [2, 3]",
+        ),
+        (lambda: Pom((), ()), "pom: at least one outcome operator is required (deviation nan)"),
+        (lambda: _scenario_of_dims(3, 2, 3), "ensemble: dimension 2 does not match model dimension 3 (deviation nan)"),
+        (lambda: _scenario_of_dims(2, 2, 3), "pom: dimension 3 does not match model dimension 2 (deviation nan)"),
+        (lambda: DensityOperator(np.ones((2, 3))), "density: not a square matrix (shape (2, 3)) (deviation nan)"),
+        (
+            lambda: LindbladModel(2, np.zeros(2)),
+            "model.hamiltonian: not a square matrix (shape (2,)) (deviation nan)",
+        ),
+    ],
+    ids=[
+        "no-states",
+        "prior-count",
+        "label-count",
+        "mixed-dimensions",
+        "no-pom-element",
+        "ensemble-dimension",
+        "pom-dimension",
+        "non-square-density",
+        "non-square-hamiltonian",
+    ],
+)
+def test_a_malformed_piece_is_refused_by_its_constructor(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 class TestIntegratorConfig:
     def test_defaults(self):
         config = IntegratorConfig()

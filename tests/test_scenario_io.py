@@ -131,6 +131,31 @@ class TestParseScenario:
         with pytest.raises(ScenarioFormatError, match=r"ensemble\[0\]"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("jump_ops", {}, "jump_ops: expected a list of matrices"),
+            ("ensemble", [], "ensemble: expected a non-empty list"),
+            ("pom", [], "pom: expected a non-empty list"),
+            ("pom", [{"label": "+", "element": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "prior": 1.0}],
+             "pom[0]: expected keys label, element"),
+            ("integrator", [1000, 10], "integrator: expected an object"),
+        ],
+        ids=["jump_ops-not-a-list", "ensemble-empty", "pom-empty", "pom-entry-keys", "integrator-not-an-object"],
+    )
+    def test_a_malformed_block_is_a_format_error(self, key, value, message):
+        doc = _demo_doc()
+        doc[key] = value
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(doc)
+        assert type(err.value) is ScenarioFormatError and str(err.value) == message
+
+    @pytest.mark.parametrize("doc, kind", [([], "list"), ("{}", "str"), (None, "NoneType")])
+    def test_a_top_level_that_is_not_an_object_is_a_format_error(self, doc, kind):
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_scenario(doc)
+        assert type(err.value) is ScenarioFormatError and str(err.value) == f"top level must be an object, got {kind}"
+
     def test_integrator_block_is_optional(self):
         doc = _demo_doc()
         del doc["integrator"]

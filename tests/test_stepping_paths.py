@@ -15,6 +15,8 @@ so a run cut short at step k takes the same step size h = 1 / steps_per_unit_tim
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,7 +124,8 @@ def test_linear_plans_match_the_staged_reference(case):
     ):
         staged = rk4_integrate(lambda v: gen @ v, block, case.duration, case.config)
         _assert_records_match(staged, _per_step(lambda v: gen @ v, block, case))
-        _assert_records_match(rk4_integrate(lambda v: gen @ v, block, case.duration, case.config, linear=True), staged)
+        linear = partial(dynamics._linear, SimpleNamespace(), False)  # on step plans held for this run alone
+        _assert_records_match(rk4_integrate(lambda v: gen @ v, block, case.duration, case.config, _advance=linear), staged)
         # One column at a time on the plans the model holds after the first.
         for col, op in enumerate(columns):
             held = evolve(op, case.duration)
@@ -227,7 +230,11 @@ def test_an_overflow_names_the_first_non_finite_step(case, exponent):
     gen = pom_backward_generator(model)
     config = case.config
     _overflow_step(lambda t: rk4_integrate(lambda v: gen @ v, block, t, config), case.n_steps, spu)
-    _overflow_step(lambda t: rk4_integrate(lambda v: gen @ v, block, t, config, linear=True), case.n_steps, spu)
+
+    def linear(t):  # on step plans held for one integration alone
+        return rk4_integrate(lambda v: gen @ v, block, t, config, _advance=partial(dynamics._linear, SimpleNamespace(), False))
+
+    _overflow_step(linear, case.n_steps, spu)
     for run in (
         lambda t: evolve_pom_backward(model, scale * rho, t, config),
         lambda t: evolve_retrodictive(model, DensityOperator(rho), t, config),
