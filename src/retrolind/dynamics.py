@@ -60,11 +60,13 @@ _Advance = Callable[[np.ndarray, int], np.ndarray]  # x, m -> the state m RK4 st
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced an unusable state."""
+    """Numerical integration produced an unusable state.  One raised by rk4_integrate names the
+    first non-finite RK4 step as step and carries the finite records before it as trajectory."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, trajectory: Trajectory | None = None):
         super().__init__(message)
         self.step = step
+        self.trajectory = trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +247,9 @@ def rk4_integrate(
     Records every record_every-th state plus the final one, in one array.
     Each record is reached from the last by advance(x, m), m steps at once,
     and tested for finiteness once.  A record that is not finite is
-    re-stepped from the last one by advance(x, 1), which raises
-    IntegrationError at the first non-finite step, or, where only the m-step
-    product overflowed, gives the finite record.  numpy's overflow and
+    re-stepped from the last one by advance(x, 1), which raises IntegrationError,
+    with the records before it, at the first non-finite step, or, where only the
+    m-step product overflowed, gives the finite record.  numpy's overflow and
     invalid-value warnings are silenced, since that error reports them.
 
     advance takes m stage-by-stage steps of rhs, the reference that every
@@ -275,7 +277,7 @@ def rk4_integrate(
                 for i in range(k + 1, k + m + 1):
                     nxt = advance(nxt, 1)
                     if not np.isfinite(nxt).all():
-                        raise IntegrationError(f"non-finite state at step {i} of {n_steps}", step=i)
+                        raise IntegrationError(f"non-finite state at step {i} of {n_steps}", i, Trajectory(steps[:r] * h, states[:r]))
             states = states.astype(np.result_type(states, nxt), copy=False)  # complex from the first complex advance
             states[r] = x = nxt
             k += m
@@ -416,7 +418,8 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
     Krylov basis (see _krylov).  Returns the times along the run, its records
     (records, *ops.shape), made complex and guarded in one _guard pass, and the
     indices of the start and of each segment's end.  A segment that stops being
-    finite ends the run after that pass, so the earliest failure is raised."""
+    finite ends the run after that pass, its finite records included, so the
+    earliest failure is raised."""
     ops = np.asarray(ops, dtype=np.complex128)
     backward = mode == "pom-backward"
     if mode == "retrodictive":
@@ -427,21 +430,21 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
             return _model_generator(model, backward) @ v
 
         advance = partial(_linear, model, backward)
-    x0 = x = _to_real(ops).T
+    x = _to_real(ops).T
     times, records, ends, failure = [], [], [0], None
     start = 0.0
     for segment in segments:
         try:
             flat = rk4_integrate(rhs, x, float(segment), config, _advance=advance)
         except IntegrationError as exc:
-            failure = exc
-            break
+            flat, failure = exc.trajectory, exc
         times.append(start + flat.times[1:] if records else flat.times)  # a later run starts at a recorded final
         records.append(flat.states[1:] if records else flat.states)
+        if failure:
+            break
         ends.append(ends[-1] + len(flat) - 1)
         x, start = flat.states[-1], start + segment
-    parts = (times or [np.zeros(1)], records or [x0[None]])  # one run is not copied
-    times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
+    times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in (times, records))  # one run is not copied
     records = _guard(times, np.swapaxes(records, 1, -1), check_trace=not backward)
     if failure:
         raise failure

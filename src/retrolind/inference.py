@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, _run
+from .dynamics import IntegrationError, _check_model_operator, _run
 from .model import (
     DensityOperator,
     IntegratorConfig,
@@ -64,22 +64,32 @@ class ProbabilityTable:
         object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, key: str | int) -> float:
-        if isinstance(key, str):
-            return float(self.probs[self.labels.index(key)])
-        return float(self.probs[key])
+        return float(self.probs[_label_index(self.labels, key, "table")])
 
     def items(self) -> list[tuple[str, float]]:
         return [(label, float(p)) for label, p in zip(self.labels, self.probs)]
 
 
 def _label_index(labels: tuple[str, ...], key: str | int, what: str) -> int:
+    """The position of key in labels: a str label, or an int or numpy integer index in
+    [0, len(labels)); a bool, a float or any other key is refused."""
     if isinstance(key, str):
         if key not in labels:
             raise ValueError(f"unknown {what} label {key!r}; known labels: {', '.join(labels)}")
         return labels.index(key)
+    if not isinstance(key, (int, np.integer)) or isinstance(key, bool):
+        raise ValueError(f"{what} key {key!r} is neither a label nor an integer index")
     if not 0 <= key < len(labels):
         raise ValueError(f"{what} index {key} out of range for {len(labels)} entries")
     return int(key)
+
+
+def _posterior(scenario: Scenario, raw: np.ndarray) -> ProbabilityTable:
+    """The preparation weights raw normalized into P(i|j); refused if they sum to 0."""
+    total = raw.sum()
+    if total <= 0.0:
+        raise ValueError("outcome is impossible under every preparation in the ensemble")
+    return ProbabilityTable(scenario.ensemble.labels, raw / total)
 
 
 def _clamp_raw(raw: np.ndarray, what: str) -> np.ndarray:
@@ -121,8 +131,7 @@ def preparation_operators(
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
     if t_minus_tp < 0.0:
         raise ValueError(f"time offset must be >= 0, got {t_minus_tp}")
-    if ensemble.dim != model.dim:  # the ensemble's states share one shape
-        raise ValueError(f"operator shape {ensemble.states[0].op.shape} does not match model dimension {model.dim}")
+    _check_model_operator(model, ensemble.states[0].op)  # the ensemble's states share one shape
     finals = _finals(model, [st.op for st in ensemble.states], t_minus_tp, config, backward=False)
     ops = [prior * final for prior, final in zip(ensemble.priors, finals)]
     total_trace = math.fsum(trace(op).real for op in ops)
@@ -212,11 +221,7 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     (element,) = _backward_elements(scenario, [j], scenario.t_p)
     rho_retr = _retrodictive_op(element)
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
-    raw = _clamp_raw(trace(rho_retr @ np.array(lambdas)).real, "preparation weight")
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError("outcome is impossible under every preparation in the ensemble")
-    return ProbabilityTable(scenario.ensemble.labels, raw / total)
+    return _posterior(scenario, _clamp_raw(trace(rho_retr @ np.array(lambdas)).real, "preparation weight"))
 
 
 def bayes_from_predictive(
@@ -229,11 +234,7 @@ def bayes_from_predictive(
     t = _check_collapse_time(scenario, collapse_time)
     states = _forward_states(scenario, range(len(scenario.ensemble)), t)
     elements = _backward_elements(scenario, range(len(scenario.pom)), t)
-    raw = _outcome_probs(states, elements)[:, j] * np.asarray(scenario.ensemble.priors)
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError("outcome is impossible under every preparation in the ensemble")
-    return ProbabilityTable(scenario.ensemble.labels, raw / total)
+    return _posterior(scenario, _outcome_probs(states, elements)[:, j] * np.asarray(scenario.ensemble.priors))
 
 
 def collapse_time_sweep(

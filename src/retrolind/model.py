@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .operators import _hermitian_excess, hermitian_deviation, identity, min_eigenvalue, trace
+from .operators import _hermitian_excess, identity, min_eigenvalue, trace
 from .tolerances import EIGENVALUE_TOL, HERMITICITY_TOL, MAX_GENERATOR_BYTES, MAX_RECORDED_BYTES, MAX_RK4_STEPS
 from .tolerances import POM_SUM_TOL, PRIOR_SUM_TOL, TRACE_TOL
 
@@ -93,9 +93,8 @@ def _shape_issues(field: str, a, dim: int | None) -> list[ValidationIssue]:
 
 
 def _hermitian_issues(field: str, a) -> list[ValidationIssue]:
-    if _hermitian_excess(a, HERMITICITY_TOL):
-        return [ValidationIssue(field, "not Hermitian within tolerance", 4.0 * hermitian_deviation(np.asarray(a) / 4.0))]
-    return []
+    dev = _hermitian_excess(a, HERMITICITY_TOL)
+    return [ValidationIssue(field, "not Hermitian within tolerance", dev)] if dev else []
 
 
 def _positive_issues(field: str, a, eig_tol: float) -> list[ValidationIssue]:
@@ -133,17 +132,19 @@ def _density_issues(field: str, op, dim: int | None, eig_tol: float = EIGENVALUE
     return issues + _positive_issues(field, op, eig_tol)
 
 
+def _label_issues(field: str, labels, n: int, noun: str) -> list[ValidationIssue]:
+    """One label per one of n nouns, each label once."""
+    if len(labels) != n:
+        return [ValidationIssue(field, f"{len(labels)} labels for {n} {noun}", math.nan)]
+    if len(set(labels)) != len(labels):
+        return [ValidationIssue(field, "labels are not unique", math.nan)]
+    return []
+
+
 def _pom_issues(elements, labels, dim: int | None) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
     if len(elements) < 1:
-        issues.append(ValidationIssue("pom", "at least one outcome operator is required", math.nan))
-        return issues
-    if len(labels) != len(elements):
-        issues.append(
-            ValidationIssue("pom.labels", f"{len(labels)} labels for {len(elements)} elements", math.nan)
-        )
-    elif len(set(labels)) != len(labels):
-        issues.append(ValidationIssue("pom.labels", "labels are not unique", math.nan))
+        return [ValidationIssue("pom", "at least one outcome operator is required", math.nan)]
+    issues = _label_issues("pom.labels", labels, len(elements), "elements")
     shapes_ok = True
     for j, el in enumerate(elements):
         el_issues = _shape_issues(f"pom.elements[{j}]", el, dim)
@@ -161,21 +162,11 @@ def _pom_issues(elements, labels, dim: int | None) -> list[ValidationIssue]:
 
 
 def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
     if n_states < 1:
-        issues.append(ValidationIssue("ensemble", "at least one preparation is required", math.nan))
-        return issues
+        return [ValidationIssue("ensemble", "at least one preparation is required", math.nan)]
     if len(priors) != n_states:
-        issues.append(
-            ValidationIssue("ensemble.priors", f"{len(priors)} priors for {n_states} states", math.nan)
-        )
-        return issues
-    if len(labels) != n_states:
-        issues.append(
-            ValidationIssue("ensemble.labels", f"{len(labels)} labels for {n_states} states", math.nan)
-        )
-    elif len(set(labels)) != len(labels):
-        issues.append(ValidationIssue("ensemble.labels", "labels are not unique", math.nan))
+        return [ValidationIssue("ensemble.priors", f"{len(priors)} priors for {n_states} states", math.nan)]
+    issues = _label_issues("ensemble.labels", labels, n_states, "states")
     for i, p in enumerate(priors):
         if not math.isfinite(p) or p < 0.0:
             issues.append(ValidationIssue(f"ensemble.priors[{i}]", f"prior must be >= 0, got {p}", math.nan))

@@ -87,8 +87,10 @@ def trace(a):
 
 
 def symmetrize(a) -> np.ndarray:
-    """(A + A^dagger) / 2, as A/2 + A^dagger/2, which no finite entry overflows."""
-    return a / 2.0 + dagger(a) / 2.0
+    """(A + A^dagger) / 2, as A/2 + A^dagger/2, which no finite entry overflows;
+    A/2 halves the real and imaginary parts exactly, so zeros keep their signs."""
+    half = (0.5 * np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)).view(np.complex128)
+    return half + dagger(half)
 
 
 def hermitian_deviation(a):
@@ -97,11 +99,13 @@ def hermitian_deviation(a):
 
 
 def _hermitian_excess(a, tol):
-    """Whether A - A^dagger exceeds tol * scale_of(A), per matrix of a stack,
-    decided on A/4 so that no finite entry overflows; a message reports the
-    deviation as 4 * hermitian_deviation(A / 4), inf where it would."""
+    """A finite A's deviation from Hermiticity where it exceeds tol * scale_of(A),
+    else 0, per matrix of a stack: decided on A/4 so that no entry overflows,
+    reported as 4 * hermitian_deviation(A / 4), inf where that overflows."""
     a = 0.25 * np.asarray(a)  # not a / 4, which numpy takes as a slower complex division
-    return hermitian_deviation(a) > tol * scale_of(a)
+    dev = hermitian_deviation(a)
+    with np.errstate(over="ignore"):
+        return 4.0 * (dev * (dev > tol * scale_of(a)))
 
 
 def frobenius_distance(a, b) -> float:
@@ -118,9 +122,8 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     matrix's own, for a stack); the symmetrization only absorbs round-off.
     """
     a = as_operator(a)
-    bad = _hermitian_excess(a, EIGENSOLVER_HERMITICITY_TOL)
-    if np.any(bad):
-        dev = 4.0 * float(np.max(hermitian_deviation(a[bad] / 4.0)))
+    dev = np.max(_hermitian_excess(a, EIGENSOLVER_HERMITICITY_TOL))
+    if dev:
         raise ValueError(f"operator is not Hermitian: deviation {dev:.3e} exceeds {EIGENSOLVER_HERMITICITY_TOL:.1e} * scale")
     return np.linalg.eigvalsh(symmetrize(a))
 

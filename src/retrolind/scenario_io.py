@@ -178,6 +178,20 @@ def dump_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(_render(scenario_to_jsonable(scenario), 0) + "\n")
 
 
+def _objects(doc: dict, key: str, parsers: dict) -> list[list]:
+    """doc[key], a non-empty list of objects with exactly the keys of parsers,
+    in their order, parsed as one list per key, each entry by its parser."""
+    if not isinstance(doc[key], list) or not doc[key]:
+        raise ScenarioFormatError(f"{key}: expected a non-empty list")
+    columns = [[] for _ in parsers]
+    for i, entry in enumerate(doc[key]):
+        if not isinstance(entry, dict) or entry.keys() != parsers.keys():
+            raise ScenarioFormatError(f"{key}[{i}]: expected keys {', '.join(parsers)}")
+        for column, (name, parse) in zip(columns, parsers.items()):
+            column.append(parse(entry[name], f"{key}[{i}].{name}"))
+    return columns
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Build a validated Scenario from parsed JSON data.
 
@@ -199,24 +213,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioFormatError("jump_ops: expected a list of matrices")
     jump_ops = [matrix_from_pairs(a, f"jump_ops[{q}]") for q, a in enumerate(doc["jump_ops"])]
 
-    if not isinstance(doc["ensemble"], list) or not doc["ensemble"]:
-        raise ScenarioFormatError("ensemble: expected a non-empty list")
-    priors, states, state_labels = [], [], []
-    for i, entry in enumerate(doc["ensemble"]):
-        if not isinstance(entry, dict) or entry.keys() != {"label", "prior", "state"}:
-            raise ScenarioFormatError(f"ensemble[{i}]: expected keys label, prior, state")
-        state_labels.append(_require_str(entry["label"], f"ensemble[{i}].label"))
-        priors.append(_require_number(entry["prior"], f"ensemble[{i}].prior"))
-        states.append(matrix_from_pairs(entry["state"], f"ensemble[{i}].state"))
-
-    if not isinstance(doc["pom"], list) or not doc["pom"]:
-        raise ScenarioFormatError("pom: expected a non-empty list")
-    pom_elements, pom_labels = [], []
-    for j, entry in enumerate(doc["pom"]):
-        if not isinstance(entry, dict) or entry.keys() != {"label", "element"}:
-            raise ScenarioFormatError(f"pom[{j}]: expected keys label, element")
-        pom_labels.append(_require_str(entry["label"], f"pom[{j}].label"))
-        pom_elements.append(matrix_from_pairs(entry["element"], f"pom[{j}].element"))
+    state_labels, priors, states = _objects(
+        doc, "ensemble", {"label": _require_str, "prior": _require_number, "state": matrix_from_pairs}
+    )
+    pom_labels, pom_elements = _objects(doc, "pom", {"label": _require_str, "element": matrix_from_pairs})
 
     t_p = _require_number(doc["t_p"], "t_p")
     t_m = _require_number(doc["t_m"], "t_m")

@@ -194,7 +194,10 @@ class TestRetrodict:
     def test_non_finite_state_is_one_line(self, tmp_path):
         proc = _run_cli("retrodict", _stiff(tmp_path), "--outcome", "+")
         assert proc.returncode == EXIT_INTEGRATION
-        assert proc.stderr.splitlines() == ["integration failure: non-finite state at step 49 of 1387"]
+        # The record at step 10 fails the guard before step 49 overflows: the earliest failure wins.
+        assert proc.stderr.splitlines() == [
+            "integration failure: eigenvalue -7.358e+63 below -1.0e-07 at time 0.00999491; step size too coarse"
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_route_disagreement_is_a_consistency_failure(self, fmt, monkeypatch, capsys):

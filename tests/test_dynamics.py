@@ -310,6 +310,17 @@ class TestEvolvePredictive:
         with pytest.raises(ValueError, match="dimension"):
             evolve_predictive(model, rho, 1.0)
 
+    def test_a_stiff_run_raises_its_earliest_failure(self):
+        # scenarios/atom_demo.json with a jump amplitude of 300: h * lambda near -180.  The
+        # record at step 10 fails the trace check; it wins over the overflow at step 41.
+        lower = np.zeros((2, 2), dtype=complex)
+        lower[1, 0] = 300.0
+        model = LindbladModel(2, np.zeros((2, 2), dtype=complex), (lower,))
+        with pytest.raises(IntegrationError) as err:
+            evolve_predictive(model, DensityOperator(PLUS), 2.0 * np.log(2.0), IntegratorConfig(1000, 10))
+        assert err.value.step is None
+        assert str(err.value) == "trace off by 1.000e+00 at time 0.00999491; step size too coarse"
+
 
 class TestEvolvePomBackward:
     def test_atom_closed_form(self):
@@ -672,6 +683,22 @@ class TestLinearStepMatrix:
             with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
                 rk4_integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0, _advance=advance)
         assert err.value.step == 1
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_an_overflow_carries_the_finite_records_before_it(self, linear):
+        config = IntegratorConfig(1024, 10)  # h = 2^-10, so a run to any step count takes the same steps
+
+        def run(t):
+            return rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), t, config, _advance=_linear_advance() if linear else None)
+
+        with pytest.raises(IntegrationError) as err:
+            run(1.0)
+        k, reached = err.value.step, err.value.trajectory
+        last = (k - 1) // 10 * 10  # the last record before step k
+        assert 10 < k < 1024
+        np.testing.assert_array_equal(reached.times, np.arange(0, last + 1, 10) / 1024)
+        assert reached.states.tobytes() == run(last / 1024).states.tobytes()
+        assert np.isfinite(reached.states).all()
 
     def test_overflow_step_is_the_first_non_finite_power(self):
         config = IntegratorConfig(1000, 10)

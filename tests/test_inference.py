@@ -51,7 +51,23 @@ class TestProbabilityTable:
         table = ProbabilityTable(("a", "b"), np.array([0.3, 0.7]))
         assert table["a"] == 0.3
         assert table[1] == 0.7
+        assert table[np.int64(1)] == 0.7
         assert table.items() == [("a", 0.3), ("b", 0.7)]
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("c", "unknown table label 'c'; known labels: a, b"),
+            (-1, "table index -1 out of range for 2 entries"),
+            (2, "table index 2 out of range for 2 entries"),
+            (1.5, "table key 1.5 is neither a label nor an integer index"),
+            (True, "table key True is neither a label nor an integer index"),
+        ],
+    )
+    def test_a_key_is_looked_up_as_the_queries_look_it_up(self, key, message):
+        with pytest.raises(ValueError) as err:
+            ProbabilityTable(("a", "b"), np.array([0.3, 0.7]))[key]
+        assert type(err.value) is ValueError and str(err.value) == message
 
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError, match="negative"):
@@ -205,6 +221,11 @@ class TestPredictOutcomeProbs:
             (predict_outcome_probs, -1, "preparation index -1 out of range for 2 entries"),
             (retrodict_preparation_probs, 2, "outcome index 2 out of range for 2 entries"),
             (bayes_from_predictive, -1, "outcome index -1 out of range for 2 entries"),
+            (predict_outcome_probs, 1.5, "preparation key 1.5 is neither a label nor an integer index"),
+            (predict_outcome_probs, 1.0, "preparation key 1.0 is neither a label nor an integer index"),
+            (predict_outcome_probs, True, "preparation key True is neither a label nor an integer index"),
+            (predict_outcome_probs, np.True_, f"preparation key {np.True_!r} is neither a label nor an integer index"),
+            (retrodict_preparation_probs, False, "outcome key False is neither a label nor an integer index"),
         ],
     )
     def test_an_out_of_range_index_is_refused(self, query, key, message):
@@ -217,6 +238,8 @@ class TestPredictOutcomeProbs:
         by_label = predict_outcome_probs(scenario, "+")
         by_index = predict_outcome_probs(scenario, 0)
         np.testing.assert_array_equal(by_label.probs, by_index.probs)
+        by_numpy_index = predict_outcome_probs(scenario, np.int64(1))
+        np.testing.assert_array_equal(predict_outcome_probs(scenario, "-").probs, by_numpy_index.probs)
 
 
 class TestRetrodictPreparationProbs:

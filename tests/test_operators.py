@@ -10,6 +10,7 @@ from retrolind import (
     min_eigenvalue,
     trace,
 )
+from retrolind import dynamics
 from retrolind.operators import as_operator, identity, scale_of, symmetrize
 
 EXCITED_TO_GROUND = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|, basis (|e>, |g>)
@@ -114,6 +115,22 @@ class TestHermitianDeviation:
         rng = np.random.default_rng(18)
         a = symmetrize(random_complex(rng, 4))
         assert hermitian_deviation(a) == 0.0
+
+
+class TestSymmetrize:
+    def test_signed_zeros_are_halved_exactly(self):
+        a = np.array([[-0.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1.0]])
+        once = symmetrize(a)
+        assert symmetrize(once).tobytes() == once.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_is_idempotent_and_matches_the_real_coordinates(self, dim):
+        # Entries of +-0 and small integers, so zeros meet zeros of both signs.
+        rng = np.random.default_rng(60 + dim)
+        a = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.5], size=(1200, dim, dim, 2)).view(np.complex128)[..., 0]
+        once = symmetrize(a)
+        assert symmetrize(once).tobytes() == once.tobytes()
+        np.testing.assert_array_equal(once, dynamics._from_real(dynamics._to_real(a)))
 
 
 class TestFrobeniusDistance:

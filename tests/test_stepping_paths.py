@@ -14,6 +14,7 @@ so a run cut short at step k takes the same step size h = 1 / steps_per_unit_tim
 """
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -192,15 +193,29 @@ def _stiff(model: LindbladModel, h: float, per_step: float) -> LindbladModel:
     return LindbladModel(model.dim, c * model.hamiltonian, tuple(math.sqrt(c) * a for a in model.jump_ops))
 
 
-def _overflow_step(run, n_steps: int, steps_per_unit_time: int, guarded: bool = False) -> int:
+def _overflow_step(run, n_steps: int, steps_per_unit_time: int, guarded_every: int | None = None) -> int | None:
     """The step k that run(duration) names as not finite.  The same path run
     to step k names k too, and run to step k - 1 names no step: its records
-    are finite.  A guarded evolution's records near overflow may be refused
-    by a guard (an IntegrationError with no step, or the eigensolver failing)
-    or symmetrized past overflow, so for one only the step is checked."""
+    are finite.  A guarded evolution, recording every guarded_every steps,
+    may refuse its records near overflow (an IntegrationError with no step,
+    or the eigensolver failing) or symmetrize them past overflow, so for one
+    only the step is checked.  A guarded refusal of the full run, with no
+    step, is its earliest failure: it names a recorded time t, and a run to
+    t fails alike, so no step up to t is non-finite; then None is returned."""
+    guarded = guarded_every is not None
     with pytest.raises(IntegrationError) as err:
         run(n_steps / steps_per_unit_time)
     k = err.value.step
+    if guarded and k is None:
+        message = str(err.value)
+        assert message.endswith("; step size too coarse")
+        j = round(float(re.search(r" at time (\S+); ", message).group(1)) * steps_per_unit_time)
+        assert f" at time {j / steps_per_unit_time:g}; " in message
+        assert 0 < j <= n_steps and (j % guarded_every == 0 or j == n_steps)
+        with pytest.raises(IntegrationError) as again:
+            run(j / steps_per_unit_time)
+        assert again.value.step is None and str(again.value) == message
+        return None
     assert k is not None and 1 <= k <= n_steps
     assert str(err.value).endswith(f"non-finite state at step {k} of {n_steps}")
     with pytest.raises(IntegrationError) as again:
@@ -239,7 +254,7 @@ def test_an_overflow_names_the_first_non_finite_step(case, exponent):
         lambda t: evolve_pom_backward(model, scale * rho, t, config),
         lambda t: evolve_retrodictive(model, DensityOperator(rho), t, config),
     ):
-        _overflow_step(run, case.n_steps, spu, guarded=True)
+        _overflow_step(run, case.n_steps, spu, guarded_every=config.record_every)
 
 
 def test_a_krylov_overflow_between_records_names_its_step():
@@ -248,5 +263,5 @@ def test_a_krylov_overflow_between_records_names_its_step():
     model = _stiff(model, 1.0 / 128, (math.log(1e308) + 100.0) / 30)
     rho = random_density(rng, 3)
     run = lambda t: evolve_retrodictive(model, DensityOperator(rho), t, case.config)  # noqa: E731
-    k = _overflow_step(run, 120, 128, guarded=True)
+    k = _overflow_step(run, 120, 128, guarded_every=50)
     assert k % 50 != 0
