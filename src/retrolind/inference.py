@@ -27,6 +27,7 @@ from .model import (
     LindbladModel,
     PreparationEnsemble,
     Scenario,
+    _is_int,
 )
 from .operators import as_operator, symmetrize, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
@@ -70,6 +71,11 @@ class ProbabilityTable:
         return [(label, float(p)) for label, p in zip(self.labels, self.probs)]
 
 
+def _is_index(x) -> bool:
+    """An int or a numpy integer, never a bool (numpy's bool is no integer)."""
+    return _is_int(x) or isinstance(x, np.integer)
+
+
 def _label_index(labels: tuple[str, ...], key: str | int, what: str) -> int:
     """The position of key in labels: a str label, or an int or numpy integer index in
     [0, len(labels)); a bool, a float or any other key is refused."""
@@ -77,7 +83,7 @@ def _label_index(labels: tuple[str, ...], key: str | int, what: str) -> int:
         if key not in labels:
             raise ValueError(f"unknown {what} label {key!r}; known labels: {', '.join(labels)}")
         return labels.index(key)
-    if not isinstance(key, (int, np.integer)) or isinstance(key, bool):
+    if not _is_index(key):
         raise ValueError(f"{what} key {key!r} is neither a label nor an integer index")
     if not 0 <= key < len(labels):
         raise ValueError(f"{what} index {key} out of range for {len(labels)} entries")
@@ -116,7 +122,7 @@ def normalize_to_retrodictive(pi) -> DensityOperator:
 
 def _retrodictive_op(element: np.ndarray) -> np.ndarray:
     """normalize_to_retrodictive(element).op, byte for byte, for an exactly Hermitian, finite element with no
-    eigenvalue below -POSITIVITY_DRIFT_TOL (_backward_elements'): above twice the trace that takes that bound
+    eigenvalue below -POSITIVITY_DRIFT_TOL (_finals'): above twice the trace that takes that bound
     to -RETRODICTIVE_EIG_TOL (twice, for its round-off), none of that function's checks can fail."""
     tr = trace(element).real
     return element / tr if tr > 2.0 * POSITIVITY_DRIFT_TOL / RETRODICTIVE_EIG_TOL else normalize_to_retrodictive(element).op
@@ -152,32 +158,6 @@ def _finals(model: LindbladModel, ops, duration: float, config, backward: bool) 
     return _run(model, "pom-backward" if backward else "predictive", ops, [duration], config)[1][-1]
 
 
-# The helpers below take Scenario-owned operators, validated when the
-# scenario was built, so they skip the input checks of the public evolve_*.
-
-
-def _forward_states(scenario: Scenario, prep_indices, collapse_time: float) -> np.ndarray:
-    """Prepared states carried forward from t_p to the collapse time in one batched run."""
-    ops = [scenario.ensemble.states[i].op for i in prep_indices]
-    return _finals(scenario.model, ops, collapse_time - scenario.t_p, scenario.integrator, backward=False)
-
-
-def _backward_elements(scenario: Scenario, outcome_indices, collapse_time: float) -> np.ndarray:
-    """Outcome operators carried backward from t_m to the collapse time in one batched run."""
-    ops = [scenario.pom.elements[j] for j in outcome_indices]
-    return _finals(scenario.model, ops, scenario.t_m - collapse_time, scenario.integrator, backward=True)
-
-
-def _check_collapse_time(scenario: Scenario, collapse_time: float | None) -> float:
-    if collapse_time is None:
-        return scenario.t_m
-    if not scenario.t_p <= collapse_time <= scenario.t_m:
-        raise ValueError(
-            f"collapse time {collapse_time} outside [{scenario.t_p}, {scenario.t_m}]"
-        )
-    return collapse_time
-
-
 def _outcome_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Pairings Tr[rho_i Pi_j], one row per state of the stack, each of which
     must already sum to 1 within 1e-7, normalized exactly.  The first failing
@@ -193,6 +173,20 @@ def _outcome_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return probs / total[:, None]
 
 
+def _likelihoods(scenario: Scenario, prep_indices, collapse_time: float | None) -> np.ndarray:
+    """P(j|i) at the collapse time (t_m when None), one row per chosen preparation i and one
+    column per outcome j: the states carried forward from t_p and every outcome operator
+    backward from t_m, each in one batched run of the Scenario's validated operators."""
+    if not (collapse_time is None or _is_index(collapse_time) or isinstance(collapse_time, (float, np.floating))):
+        raise ValueError(f"collapse time {collapse_time!r} is not a real number")
+    t = scenario.t_m if collapse_time is None else collapse_time
+    if not scenario.t_p <= t <= scenario.t_m:
+        raise ValueError(f"collapse time {t} outside [{scenario.t_p}, {scenario.t_m}]")
+    model, config = scenario.model, scenario.integrator
+    states = _finals(model, [scenario.ensemble.states[i].op for i in prep_indices], t - scenario.t_p, config, backward=False)
+    return _outcome_probs(states, _finals(model, scenario.pom.elements, scenario.t_m - t, config, backward=True))
+
+
 def predict_outcome_probs(
     scenario: Scenario,
     preparation: str | int,
@@ -204,10 +198,7 @@ def predict_outcome_probs(
     already sum to 1 within 1e-7 (they are then normalized exactly).
     """
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")
-    t = _check_collapse_time(scenario, collapse_time)
-    states = _forward_states(scenario, [i], t)
-    elements = _backward_elements(scenario, range(len(scenario.pom)), t)
-    return ProbabilityTable(scenario.pom.labels, _outcome_probs(states, elements)[0])
+    return ProbabilityTable(scenario.pom.labels, _likelihoods(scenario, [i], collapse_time)[0])
 
 
 def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> ProbabilityTable:
@@ -218,7 +209,7 @@ def retrodict_preparation_probs(scenario: Scenario, outcome: str | int) -> Proba
     prior-weighted preparations.
     """
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    (element,) = _backward_elements(scenario, [j], scenario.t_p)
+    (element,) = _finals(scenario.model, [scenario.pom.elements[j]], scenario.duration, scenario.integrator, backward=True)
     rho_retr = _retrodictive_op(element)
     lambdas = preparation_operators(scenario.ensemble, scenario.model, 0.0, scenario.integrator)
     return _posterior(scenario, _clamp_raw(trace(rho_retr @ np.array(lambdas)).real, "preparation weight"))
@@ -231,10 +222,8 @@ def bayes_from_predictive(
 ) -> ProbabilityTable:
     """P(preparation i | outcome j) from predictive likelihoods and priors."""
     j = _label_index(scenario.pom.labels, outcome, "outcome")
-    t = _check_collapse_time(scenario, collapse_time)
-    states = _forward_states(scenario, range(len(scenario.ensemble)), t)
-    elements = _backward_elements(scenario, range(len(scenario.pom)), t)
-    return _posterior(scenario, _outcome_probs(states, elements)[:, j] * np.asarray(scenario.ensemble.priors))
+    likelihoods = _likelihoods(scenario, range(len(scenario.ensemble)), collapse_time)
+    return _posterior(scenario, likelihoods[:, j] * np.asarray(scenario.ensemble.priors))
 
 
 def collapse_time_sweep(
@@ -253,6 +242,8 @@ def collapse_time_sweep(
     (d, d) operators, so n_times is held within MAX_RK4_STEPS and
     MAX_RECORDED_BYTES before anything is allocated.
     """
+    if not _is_index(n_times):
+        raise ValueError(f"number of collapse times n_times must be an integer, got {n_times!r}")
     if n_times < 2:
         raise ValueError(f"need at least 2 collapse times, got {n_times}")
     if n_times > MAX_RK4_STEPS or n_times * scenario.model.dim**2 * 16 > MAX_RECORDED_BYTES:

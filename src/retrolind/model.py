@@ -108,12 +108,16 @@ def _hermitian_positive_issues(field: str, a) -> list[ValidationIssue]:
     return _hermitian_issues(field, a) or _positive_issues(field, a, EIGENVALUE_TOL)
 
 
+def _is_int(x) -> bool:
+    """A scenario's integer rule (dim, the integrator fields): a Python int, not a bool. Not a numpy integer
+    either: _step_count_issues sizes the generator as dim**4 * 16, which overflows silently at fixed width."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
-    if not isinstance(dim, int) or dim < 1:
-        issues.append(ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan))
-        return issues
-    issues += _shape_issues("model.hamiltonian", hamiltonian, dim)
+    if not _is_int(dim) or dim < 1:
+        return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan)]
+    issues = _shape_issues("model.hamiltonian", hamiltonian, dim)
     if not issues:
         issues += _hermitian_issues("model.hamiltonian", hamiltonian)
     for q, a in enumerate(jump_ops):
@@ -186,16 +190,11 @@ def _times_issues(t_p: float, t_m: float) -> list[ValidationIssue]:
 
 
 def _config_issues(steps_per_unit_time: int, record_every: int) -> list[ValidationIssue]:
-    issues = []
-    if not isinstance(steps_per_unit_time, int) or steps_per_unit_time < 1:
-        issues.append(
-            ValidationIssue("integrator.steps_per_unit_time", f"must be a positive integer, got {steps_per_unit_time!r}", math.nan)
-        )
-    if not isinstance(record_every, int) or record_every < 1:
-        issues.append(
-            ValidationIssue("integrator.record_every", f"must be a positive integer, got {record_every!r}", math.nan)
-        )
-    return issues
+    return [
+        ValidationIssue(f"integrator.{name}", f"must be a positive integer, got {value!r}", math.nan)
+        for name, value in (("steps_per_unit_time", steps_per_unit_time), ("record_every", record_every))
+        if not _is_int(value) or value < 1
+    ]
 
 
 def _step_count_issues(

@@ -42,6 +42,7 @@ from .model import (
     PreparationEnsemble,
     Scenario,
     ValidationReport,
+    _is_int,
     validate_scenario_data,
 )
 
@@ -87,12 +88,13 @@ def _as_float(x: int | float, where: str) -> float:
         raise ScenarioFormatError(f"{where}: integer is too large for a float") from None
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return _is_int(x) or isinstance(x, float)
+
+
 def _entry_from_pair(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(_is_number(x) for x in obj):
         raise ScenarioFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(_as_float(obj[0], where), _as_float(obj[1], where))
 
@@ -112,13 +114,13 @@ def matrix_from_pairs(obj, where: str) -> np.ndarray:
 
 
 def _require_number(obj, where: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+    if not _is_number(obj):
         raise ScenarioFormatError(f"{where}: expected a number, got {obj!r}")
     return _as_float(obj, where)
 
 
 def _require_int(obj, where: str) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not _is_int(obj):
         raise ScenarioFormatError(f"{where}: expected an integer, got {obj!r}")
     return obj
 
@@ -155,9 +157,7 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def _is_numeric_tree(obj) -> bool:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return True
-    return isinstance(obj, list) and bool(obj) and all(_is_numeric_tree(x) for x in obj)
+    return _is_number(obj) or isinstance(obj, list) and bool(obj) and all(_is_numeric_tree(x) for x in obj)
 
 
 def _render(obj, indent: int) -> str:

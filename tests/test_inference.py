@@ -186,6 +186,14 @@ class TestPreparationOperators:
             preparation_operators(ensemble, two_level_decay_model(1.0), 0.5)
         assert type(err.value) is ValueError and str(err.value) == "operator shape (3, 3) does not match model dimension 2"
 
+    def test_rejects_a_total_trace_off_1(self, monkeypatch):
+        scenario = demo_scenario(1.0, 1.0)
+        monkeypatch.setattr(inference, "_finals", lambda model, ops, *_, **__: np.asarray(ops) * (1.0 + 2e-8))
+        with pytest.raises(IntegrationError) as err:
+            preparation_operators(scenario.ensemble, scenario.model, 0.5)
+        total = math.fsum(p * (1.0 + 2e-8) for p in scenario.ensemble.priors)
+        assert str(err.value) == f"preparation operators sum to trace {total!r}, off beyond 1.0e-08"
+
 
 class TestPredictOutcomeProbs:
     def test_atom_likelihoods(self):
@@ -208,11 +216,27 @@ class TestPredictOutcomeProbs:
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match="outside"):
             predict_outcome_probs(scenario, "+", collapse_time=1.5)
+        for route in (predict_outcome_probs, bayes_from_predictive):
+            with pytest.raises(ValueError, match=r"^collapse time nan outside \[0.0, 1.0\]$"):
+                route(scenario, "+", math.nan)
 
     def test_unknown_label_names_the_alternatives(self):
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match=r"known labels: \+, -"):
             predict_outcome_probs(scenario, "up")
+
+    @pytest.mark.parametrize("route", [predict_outcome_probs, bayes_from_predictive])
+    @pytest.mark.parametrize("collapse_time", [True, "1.0", np.True_])
+    def test_a_collapse_time_that_is_no_real_number_is_refused(self, route, collapse_time):
+        with pytest.raises(ValueError) as err:
+            route(demo_scenario(1.0, 1.0), "+", collapse_time)
+        assert type(err.value) is ValueError and str(err.value) == f"collapse time {collapse_time!r} is not a real number"
+
+    def test_a_numpy_collapse_time_is_a_real_number(self):
+        scenario = demo_scenario(1.0, 1.0)
+        for t in (np.float64(0.5), np.int64(1)):
+            expected = predict_outcome_probs(scenario, "+", float(t)).probs
+            np.testing.assert_array_equal(predict_outcome_probs(scenario, "+", t).probs, expected)
 
     @pytest.mark.parametrize(
         "query, key, message",
@@ -351,6 +375,17 @@ class TestCollapseTimeSweep:
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match="at least 2"):
             collapse_time_sweep(scenario, "+", "+", 1)
+
+    @pytest.mark.parametrize("n_times", [5.0, True, np.True_, "5", None])
+    def test_n_times_must_be_an_integer(self, n_times):
+        with pytest.raises(ValueError) as err:
+            collapse_time_sweep(demo_scenario(1.0, 1.0), "+", "+", n_times)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"number of collapse times n_times must be an integer, got {n_times!r}"
+
+    def test_a_numpy_integer_n_times_is_accepted(self):
+        scenario = demo_scenario(1.0, 1.0)
+        assert collapse_time_sweep(scenario, "+", "+", np.int64(3)) == collapse_time_sweep(scenario, "+", "+", 3)
 
     @pytest.mark.parametrize(
         "dim, most",
@@ -601,13 +636,14 @@ class TestOutcomePairing:
         )
         pom = Pom(tuple(random_pom_elements(rng, dim, 3)), ("x", "y", "z"))
         scenario = Scenario(random_model(rng, dim=dim), ensemble, pom, 0.0, 0.4, IntegratorConfig(200, 20))
-        states = inference._forward_states(scenario, range(3), 0.25)
-        elements = inference._backward_elements(scenario, range(3), 0.25)
-        for row, rho in zip(inference._outcome_probs(states, elements), states):
+        config = scenario.integrator
+        states = inference._finals(scenario.model, [st.op for st in ensemble.states], 0.25, config, backward=False)
+        elements = inference._finals(scenario.model, pom.elements, 0.4 - 0.25, config, backward=True)
+        for row, rho in zip(inference._likelihoods(scenario, range(3), 0.25), states):
             raw = np.array([trace(rho @ pi).real for pi in elements])
             assert row.tobytes() == (raw / raw.sum()).tobytes()
 
-        (element,) = inference._backward_elements(scenario, [1], 0.0)
+        (element,) = inference._finals(scenario.model, [pom.elements[1]], 0.4, config, backward=True)
         rho_retr = normalize_to_retrodictive(element).op
         raw = np.array([trace(rho_retr @ lam).real for lam in preparation_operators(ensemble, scenario.model, 0.0)])
         assert retrodict_preparation_probs(scenario, 1).probs.tobytes() == (raw / raw.sum()).tobytes()

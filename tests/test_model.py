@@ -228,6 +228,27 @@ def _scenario_of_dims(model_dim: int, ensemble_dim: int, pom_dim: int) -> Scenar
             lambda: LindbladModel(2, np.zeros(2)),
             "model.hamiltonian: not a square matrix (shape (2,)) (deviation nan)",
         ),
+        (
+            lambda: LindbladModel(True, np.zeros((1, 1))),
+            "model.dim: dimension must be a positive integer, got True (deviation nan)",
+        ),
+        (
+            lambda: LindbladModel(np.int64(1), np.zeros((1, 1))),
+            f"model.dim: dimension must be a positive integer, got {np.int64(1)!r} (deviation nan)",
+        ),
+        (
+            lambda: IntegratorConfig(True, 10),
+            "integrator.steps_per_unit_time: must be a positive integer, got True (deviation nan)",
+        ),
+        (
+            lambda: IntegratorConfig(np.int64(1000), 10),
+            f"integrator.steps_per_unit_time: must be a positive integer, got {np.int64(1000)!r} (deviation nan)",
+        ),
+        (
+            lambda: IntegratorConfig(1.0, False),
+            "integrator.steps_per_unit_time: must be a positive integer, got 1.0 (deviation nan); "
+            "integrator.record_every: must be a positive integer, got False (deviation nan)",
+        ),
     ],
     ids=[
         "no-states",
@@ -239,6 +260,11 @@ def _scenario_of_dims(model_dim: int, ensemble_dim: int, pom_dim: int) -> Scenar
         "pom-dimension",
         "non-square-density",
         "non-square-hamiltonian",
+        "bool-dim",
+        "numpy-dim",
+        "bool-steps",
+        "numpy-steps",
+        "both-integrator-fields",
     ],
 )
 def test_a_malformed_piece_is_refused_by_its_constructor(build, message):
@@ -321,6 +347,11 @@ class TestValidateScenario:
         )
         fields = {issue.field for issue in report.issues}
         assert {"ensemble.priors", "scenario", "integrator.record_every"} <= fields
+
+    def test_a_bool_dim_is_reported(self):
+        one = np.ones((1, 1))
+        report = validate_scenario_data(True, np.zeros((1, 1)), [], [1.0], [one], ("a",), [one], ("x",), 0.0, 1.0)
+        assert report.lines() == ["model.dim: dimension must be a positive integer, got True (deviation nan)"]
 
     def test_non_finite_time_flagged(self):
         demo = demo_scenario(1.0, 1.0)
