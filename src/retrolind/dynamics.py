@@ -11,18 +11,16 @@ measurement.  Both are parameterized here by the premeasurement time
 tau = t_m - t and integrated forward in tau, so their right-hand sides are
 the negatives of the corresponding d/dt forms:
 
-    d(Pi)/d(tau)  = +i [H, Pi] + sum_q (2 A_q^dag Pi A_q
-                                        - Pi A_q^dag A_q - A_q^dag A_q Pi)
+    d(Pi)/d(tau)  = L* Pi = +i [H, Pi] + sum_q (2 A_q^dag Pi A_q
+                                             - Pi A_q^dag A_q - A_q^dag A_q Pi)
 
-    d(rho)/d(tau) = +i [H, rho] + sum_q (2 A_q^dag rho A_q
-                                         - rho A_q^dag A_q - A_q^dag A_q rho)
-                    + 2 rho Tr{rho sum_q [A_q^dag, A_q]}.
+    d(rho)/d(tau) = L* rho - Tr(L* rho) rho = L* rho + 2 rho Tr{rho sum_q [A_q^dag, A_q]}.
 
-The identity is a fixed point of the outcome-operator equation, and the
-final nonlinear term keeps the retrodictive state normalized.  The
-evolutions carry Hermitian operators in real coordinates (see _to_real), where the
-linear parts are a real matrix L and its adjoint (see _model_generator);
-predictive_generator and pom_backward_generator are the complex references.
+L* is the adjoint of the predictive equation (see _lindblad); the identity is its fixed point.
+A retrodictive state is an evolved outcome operator divided by its trace, so its nonlinear
+term -Tr(L* rho) rho keeps it normalized.  The evolutions carry Hermitian operators in real
+coordinates (see _to_real), where the linear parts are a real matrix L and its adjoint (see
+_model_generator); predictive_generator and pom_backward_generator are the complex references.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
+from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _is_real, _raise_if_issues
 from .operators import as_operator, dagger, trace
 from .tolerances import MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -111,36 +109,31 @@ def _check_model_operator(model: LindbladModel, op) -> np.ndarray:
     return op
 
 
-def predictive_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Forward-in-t derivative of a predictive state."""
-    return _predictive_rhs(model, _check_model_operator(model, rho))
-
-
-def _predictive_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """predictive_rhs, unchecked, on an operator or a (..., d, d) stack of them."""
+def _lindblad(model: LindbladModel, x: np.ndarray, backward: bool = False) -> np.ndarray:
+    """The linear right-hand side, unchecked, on an operator or a (..., d, d) stack of them:
+    the predictive equation's in t or, if backward, its adjoint, the outcome operator's in tau."""
     h = model.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
+    out = (1j if backward else -1j) * (h @ x - x @ h)
     for a in model.jump_ops:
         ad = dagger(a)
         ada = ad @ a
-        out = out + 2.0 * (a @ rho @ ad) - ada @ rho - rho @ ada
+        left, right = (ad, a) if backward else (a, ad)
+        out = out + 2.0 * (left @ x @ right) - ada @ x - x @ ada
     return out
+
+
+def predictive_rhs(model: LindbladModel, rho) -> np.ndarray:
+    """Forward-in-t derivative of a predictive state."""
+    return _lindblad(model, _check_model_operator(model, rho))
 
 
 def pom_premeasurement_rhs(model: LindbladModel, pi) -> np.ndarray:
     """Derivative of an outcome operator in premeasurement time tau = t_m - t."""
-    pi = _check_model_operator(model, pi)
-    h = model.hamiltonian
-    out = 1j * (h @ pi - pi @ h)
-    for a in model.jump_ops:
-        ad = dagger(a)
-        ada = ad @ a
-        out = out + 2.0 * (ad @ pi @ a) - pi @ ada - ada @ pi
-    return out
+    return _lindblad(model, _check_model_operator(model, pi), backward=True)
 
 
 def retrodictive_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Derivative of a retrodictive state in premeasurement time tau.
+    """Derivative of a retrodictive state in premeasurement time tau: L* rho - Tr(L* rho) rho.
 
     The input must be normalized: the trace-preserving nonlinear term
     presumes Tr(rho) = 1 (checked to 1e-8).
@@ -149,7 +142,8 @@ def retrodictive_rhs(model: LindbladModel, rho) -> np.ndarray:
     trace_dev = abs(trace(rho) - 1.0)
     if trace_dev > RETRODICTIVE_RHS_TRACE_TOL:
         raise ValueError(f"retrodictive state must have unit trace, off by {trace_dev:.3e}")
-    return pom_premeasurement_rhs(model, rho) + 2.0 * trace(rho @ _jump_commutator_sum(model)) * rho
+    g = _lindblad(model, rho, backward=True)
+    return g - trace(g) * rho
 
 
 def predictive_generator(model: LindbladModel) -> np.ndarray:
@@ -168,15 +162,6 @@ def pom_backward_generator(model: LindbladModel) -> np.ndarray:
     """Matrix form of pom_premeasurement_rhs: the adjoint (conjugate transpose)
     of the predictive generator under the Hilbert-Schmidt inner product."""
     return predictive_generator(model).conj().T
-
-
-def _jump_commutator_sum(model: LindbladModel) -> np.ndarray:
-    """sum_q [A_q^dag, A_q], the operator inside the trace-preserving term."""
-    total = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    for a in model.jump_ops:
-        ad = dagger(a)
-        total += ad @ a - a @ ad
-    return total
 
 
 @cache
@@ -212,15 +197,16 @@ def _from_real(x: np.ndarray) -> np.ndarray:
 
 def _model_generator(model: LindbladModel, backward: bool = False) -> np.ndarray:
     """L, the predictive equation in real coordinates, built d columns at a time: column k is
-    _to_real, the Hermitian part, of _predictive_rhs on the operator of coordinate k, so an H
+    _to_real, the Hermitian part, of _lindblad on the operator of coordinate k, so an H
     admitted with an anti-Hermitian residue evolves under its Hermitian part.  Held by the model,
-    read-only, from the first call.  If backward, L's adjoint W^-1 L^T W for W the weights, exact in powers of 2."""
+    read-only, from the first call.  If backward, L's adjoint L* = W^-1 L^T W for W the weights, exact
+    in powers of 2, whose first d rows summed give Tr(L* v), the trace, in f(v) = L* v - Tr(L* v) v."""
     gen = vars(model).get("_generator")
     if gen is None:
         dim = model.dim
         gen = np.empty((dim * dim, dim * dim))
         for k in range(0, dim * dim, dim):
-            gen[:, k : k + dim] = _to_real(_predictive_rhs(model, _from_real(np.eye(dim, dim * dim, k)))).T
+            gen[:, k : k + dim] = _to_real(_lindblad(model, _from_real(np.eye(dim, dim * dim, k)))).T
         gen.setflags(write=False)
         vars(model)["_generator"] = gen
     w = _coordinates(model.dim).weights
@@ -256,8 +242,9 @@ def rk4_integrate(
     other path is tested against; _advance(rhs, h), if given, makes the
     advance instead, from the rhs passed here (see _linear and _krylov).  The
     records are float64 while x0 and every advance are real, else complex128."""
-    if not math.isfinite(duration) or duration < 0.0:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
+    if not (_is_real(duration) and math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be a finite real number >= 0, got {duration!r}")
+    duration = float(duration)
     x = np.asarray(x0, dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
     if duration == 0.0:
         return Trajectory(np.zeros(1), np.array([x]))
@@ -358,21 +345,22 @@ def _linear(model: LindbladModel, backward: bool, rhs: _Rhs, h: float) -> _Advan
 
 def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
     """The advance by m RK4 steps of the retrodictive right-hand side f(v) =
-    L* v + 2 (k.v) v in real coordinates, with L* the adjoint of the model's
-    generator and k.v = Tr(K v) for K = _jump_commutator_sum; rhs is unused.
+    L* v - Tr(L* v) v in real coordinates, with L* the adjoint of the model's
+    generator, and k.v = -Tr(h L* v) for k the first d rows of h L* summed and
+    negated (see _model_generator); rhs is unused.
 
     Each step is taken in the Krylov basis b_j = (h L*)^j v, j = 0..4,
     which spans every stage: each stage input is v plus a combination of
-    earlier stages, so with s_j = 2h k.b_j a stage h f(sum_j c_j b_j) has the
+    earlier stages, so with s_j = k.b_j a stage h f(sum_j c_j b_j) has the
     coefficients of sum_j c_j b_{j+1} + (sum_j c_j s_j) sum_j c_j b_j, a
     polynomial in the shift one degree higher, degree 4 after the fourth
     stage.  The step returns v + sum_j alpha_j b_j, the 1 of v left out of
     alpha_0, so its round-off is relative to the change, as in the
     stage-by-stage step.  It is the same RK4 step with a different round-off.
-    h L*, h k and the basis are formed once per integration."""
+    h L*, k and the basis are formed once per integration."""
     hg = _model_generator(model, backward=True)
     hg *= h
-    kh = (2.0 * h) * _coordinates(model.dim).weights * _to_real(_jump_commutator_sum(model))
+    kh = -hg[: model.dim].sum(axis=0)
     basis = np.empty((5, len(kh)))
     b0, b1, b2, b3, b4 = basis
     first4 = basis[:4]
@@ -386,7 +374,7 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
             np.dot(hg, b3, out=b4)
             s0, s1, s2, s3 = np.dot(first4, kh).tolist()
             # The stage inputs v + k1/2, v + k2/2 and v + k3 as coefficients
-            # p, q and r; each d is 2h k.(stage input).  k1 = (s0, 1).
+            # p, q and r; each d is k.(stage input).  k1 = (s0, 1).
             p0 = 1.0 + 0.5 * s0
             d = s0 * p0 + 0.5 * s1
             k20, k21, k22 = d * p0, p0 + 0.5 * d, 0.5
@@ -435,7 +423,7 @@ def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfi
     start = 0.0
     for segment in segments:
         try:
-            flat = rk4_integrate(rhs, x, float(segment), config, _advance=advance)
+            flat = rk4_integrate(rhs, x, segment, config, _advance=advance)
         except IntegrationError as exc:
             flat, failure = exc.trajectory, exc
         times.append(start + flat.times[1:] if records else flat.times)  # a later run starts at a recorded final
@@ -522,11 +510,7 @@ def evolve_retrodictive(
     duration: float,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Evolve a retrodictive state backward from the measurement.
-
-    Same parameterization as evolve_pom_backward, but nonlinear: each RK4
-    step is taken in a Krylov basis (see _krylov), and the nonlinear
-    term keeps every recorded state unit-trace.
-    """
+    """Evolve a retrodictive state backward from the measurement, parameterized as evolve_pom_backward,
+    by f(v) = L* v - Tr(L* v) v, whose last term keeps every record unit-trace (see _krylov)."""
     _check_model_operator(model, rho_m.op)
     return Trajectory(*_run(model, "retrodictive", rho_m.op, [duration], config)[:2])

@@ -28,6 +28,7 @@ from .model import (
     PreparationEnsemble,
     Scenario,
     _is_int,
+    _is_real,
 )
 from .operators import as_operator, symmetrize, trace
 from .tolerances import NEGATIVE_PROB_TOL, NORMALIZE_TRACE_FLOOR, PREPARATION_TRACE_TOL, PROBABILITY_SUM_TOL
@@ -56,9 +57,9 @@ class ProbabilityTable:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1 or len(labels) != probs.size:
             raise ValueError("labels and probabilities must align one-to-one")
-        if np.any(probs < 0.0):
+        if not np.all(probs >= 0.0):  # a NaN fails too
             raise ValueError(f"negative probability {probs.min():.3e}")
-        if abs(probs.sum() - 1.0) > PROBABILITY_SUM_TOL:
+        if not abs(probs.sum() - 1.0) <= PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -100,7 +101,7 @@ def _posterior(scenario: Scenario, raw: np.ndarray) -> ProbabilityTable:
 
 def _clamp_raw(raw: np.ndarray, what: str) -> np.ndarray:
     low = float(raw.min())
-    if low < -NEGATIVE_PROB_TOL:
+    if not low >= -NEGATIVE_PROB_TOL:  # a NaN fails too
         raise IntegrationError(f"{what} {low:.3e} is more negative than round-off allows")
     return np.clip(raw, 0.0, None)
 
@@ -135,8 +136,8 @@ def preparation_operators(
     config: IntegratorConfig = IntegratorConfig(),
 ) -> list[np.ndarray]:
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
-    if t_minus_tp < 0.0:
-        raise ValueError(f"time offset must be >= 0, got {t_minus_tp}")
+    if not (_is_real(t_minus_tp) and t_minus_tp >= 0.0):
+        raise ValueError(f"time offset t_minus_tp must be a real number >= 0, got {t_minus_tp!r}")
     _check_model_operator(model, ensemble.states[0].op)  # the ensemble's states share one shape
     finals = _finals(model, [st.op for st in ensemble.states], t_minus_tp, config, backward=False)
     ops = [prior * final for prior, final in zip(ensemble.priors, finals)]
@@ -165,7 +166,7 @@ def _outcome_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     raw = trace(states[:, None] @ elements).real
     probs = np.clip(raw, 0.0, None)
     total = probs.sum(axis=1)
-    failed = (raw.min(axis=1) < -NEGATIVE_PROB_TOL) | (np.abs(total - 1.0) > RAW_SUM_TOL)
+    failed = ~(raw.min(axis=1) >= -NEGATIVE_PROB_TOL) | ~(np.abs(total - 1.0) <= RAW_SUM_TOL)  # a NaN fails
     if failed.any():
         r = np.argmax(failed)
         _clamp_raw(raw[r], "outcome probability")
@@ -177,7 +178,7 @@ def _likelihoods(scenario: Scenario, prep_indices, collapse_time: float | None) 
     """P(j|i) at the collapse time (t_m when None), one row per chosen preparation i and one
     column per outcome j: the states carried forward from t_p and every outcome operator
     backward from t_m, each in one batched run of the Scenario's validated operators."""
-    if not (collapse_time is None or _is_index(collapse_time) or isinstance(collapse_time, (float, np.floating))):
+    if not (collapse_time is None or _is_real(collapse_time)):
         raise ValueError(f"collapse time {collapse_time!r} is not a real number")
     t = scenario.t_m if collapse_time is None else collapse_time
     if not scenario.t_p <= t <= scenario.t_m:

@@ -114,6 +114,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A number (a time, a rate, a JSON number): a Python or numpy integer or real, never a bool or a str."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     if not _is_int(dim) or dim < 1:
         return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan)]
@@ -182,8 +187,9 @@ def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
 
 
 def _times_issues(t_p: float, t_m: float) -> list[ValidationIssue]:
-    if not (math.isfinite(t_p) and math.isfinite(t_m)):
-        return [ValidationIssue("scenario", "t_p and t_m must be finite", math.nan)]
+    for name, t in (("t_p", t_p), ("t_m", t_m)):
+        if not (_is_real(t) and math.isfinite(t)):
+            return [ValidationIssue("scenario", f"{name} must be a finite real number, got {t!r}", math.nan)]
     if t_m < t_p:
         return [ValidationIssue("scenario", "measurement time t_m precedes preparation time t_p", t_p - t_m)]
     return []
@@ -434,8 +440,8 @@ def two_level_decay_model(gamma: float) -> LindbladModel:
     The single jump operator is sqrt(gamma/2) |g><e|, so the excited
     population obeys d(rho_ee)/dt = -gamma rho_ee.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"decay rate must be finite and positive, got {gamma}")
+    if not (_is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"decay rate must be finite and positive, got {gamma!r}")
     lower = np.zeros((2, 2), dtype=np.complex128)
     lower[1, 0] = math.sqrt(gamma / 2.0)
     return LindbladModel(2, np.zeros((2, 2), dtype=np.complex128), (lower,))

@@ -43,6 +43,7 @@ from .model import (
     Scenario,
     ValidationReport,
     _is_int,
+    _is_real,
     validate_scenario_data,
 )
 
@@ -88,13 +89,8 @@ def _as_float(x: int | float, where: str) -> float:
         raise ScenarioFormatError(f"{where}: integer is too large for a float") from None
 
 
-def _is_number(x) -> bool:
-    """A JSON number: an int or a float, never a bool."""
-    return _is_int(x) or isinstance(x, float)
-
-
 def _entry_from_pair(obj, where: str) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(_is_number(x) for x in obj):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(_is_real(x) for x in obj):
         raise ScenarioFormatError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(_as_float(obj[0], where), _as_float(obj[1], where))
 
@@ -114,7 +110,7 @@ def matrix_from_pairs(obj, where: str) -> np.ndarray:
 
 
 def _require_number(obj, where: str) -> float:
-    if not _is_number(obj):
+    if not _is_real(obj):
         raise ScenarioFormatError(f"{where}: expected a number, got {obj!r}")
     return _as_float(obj, where)
 
@@ -157,7 +153,7 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def _is_numeric_tree(obj) -> bool:
-    return _is_number(obj) or isinstance(obj, list) and bool(obj) and all(_is_numeric_tree(x) for x in obj)
+    return _is_real(obj) or isinstance(obj, list) and bool(obj) and all(_is_numeric_tree(x) for x in obj)
 
 
 def _render(obj, indent: int) -> str:

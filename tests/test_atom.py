@@ -91,6 +91,26 @@ class TestDemoScenario:
         scenario = demo_scenario(1.0, 1.0, integrator=config)
         assert scenario.integrator == config
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: demo_scenario(True, 1.0), "decay rate must be finite and positive, got True"),
+            (lambda: demo_scenario(1.0, np.True_), "window must be finite and >= 0, got np.True_"),
+            (lambda: demo_scenario(1.0, "1.0"), "window must be finite and >= 0, got '1.0'"),
+            (lambda: analytic_retrodictive_state(1.0, True), "tau must be finite and >= 0, got True"),
+            (lambda: analytic_preparation_probability("1", 1.0), "decay rate must be finite and positive, got '1'"),
+        ],
+    )
+    def test_a_rate_or_time_that_is_no_real_number_is_refused(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_numpy_numbers_are_rates_and_times(self):
+        scenario = demo_scenario(np.float64(1.0), np.int64(2))
+        assert scenario.duration == 2.0
+        assert analytic_preparation_probability(np.float32(1.0), np.int64(0)) == 1.0
+
     def test_default_integrator(self):
         scenario = demo_scenario(1.0, 1.0)
         assert scenario.integrator == IntegratorConfig()

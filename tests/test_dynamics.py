@@ -30,8 +30,9 @@ from retrolind import (
 from retrolind import dynamics, operators
 from retrolind.atom import analytic_retrodictive_state
 from retrolind.operators import scale_of, symmetrize
+from retrolind.tolerances import HERMITICITY_TOL
 
-from scenario_factory import random_density, random_model
+from scenario_factory import random_density, random_hermitian, random_model
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -257,6 +258,18 @@ class TestRk4Integrate:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), -1.0)
+
+    @pytest.mark.parametrize("duration", [True, False, np.True_, "1.0", None])
+    def test_a_duration_that_is_no_real_number_is_refused(self, duration):
+        with pytest.raises(ValueError) as err:
+            rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), duration)
+        assert str(err.value) == f"duration must be a finite real number >= 0, got {duration!r}"
+
+    def test_a_numpy_duration_steps_as_the_float(self):
+        ref = rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), 1.0)
+        for duration in (np.int64(1), np.float32(1.0), 1):
+            traj = rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), duration)
+            assert traj.times.tobytes() == ref.times.tobytes() and traj.states.tobytes() == ref.states.tobytes()
 
     def test_overflow_reports_step(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -822,10 +835,21 @@ def _refuse_to_build(model, *ops):
     raise AssertionError("a zero-length evolution built a generator")
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("duration", [True, np.True_, "0.5"])
+def test_a_duration_that_is_no_real_number_is_refused_before_integrating(mode, duration, monkeypatch):
+    rng = np.random.default_rng(47)
+    model = random_model(rng, dim=2)
+    monkeypatch.setattr(dynamics, "_model_generator", _refuse_to_build)
+    with pytest.raises(ValueError) as err:
+        _evolve_mode(mode, model, random_density(rng, 2), duration)
+    assert str(err.value) == f"duration must be a finite real number >= 0, got {duration!r}"
+
+
 class TestZeroLengthEvolution:
     @pytest.mark.parametrize("mode", MODES)
     def test_builds_no_generator(self, mode, monkeypatch):
-        for name in ("predictive_generator", "pom_backward_generator", "_predictive_rhs"):
+        for name in ("predictive_generator", "pom_backward_generator", "_lindblad"):
             monkeypatch.setattr(dynamics, name, _refuse_to_build)
         rng = np.random.default_rng(46)
         model = random_model(rng, dim=3)
@@ -946,6 +970,12 @@ def _staged_retrodictive(model, rho: np.ndarray, duration: float, config: Integr
     return rk4_integrate(rhs, rho.reshape(-1), duration, config)
 
 
+def _krylov_covector(model, h: float) -> np.ndarray:
+    """The covector k, k.v = -Tr(h L* v), that _krylov's advance holds for its scalars."""
+    advance = dynamics._krylov(model, None, h)
+    return dict(zip(advance.__code__.co_freevars, (cell.cell_contents for cell in advance.__closure__)))["kh"]
+
+
 class TestKrylovRetrodictiveStep:
     """evolve_retrodictive takes each RK4 step in the basis (h G^dag)^j v."""
 
@@ -973,10 +1003,26 @@ class TestKrylovRetrodictiveStep:
         traj = evolve_retrodictive(model, DensityOperator(random_density(rng, 3)), 0.3, IntegratorConfig(100, 10))
         assert len(traj) == 4
 
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_the_covector_is_the_commutator_sums_from_the_trace_rows(self, dim):
+        # -Tr(h L* v) = 2h Tr(v sum_q [A_q^dag, A_q]) = 2h (W k).v for k the coordinates of
+        # the commutator sum; on a model, on it with an anti-Hermitian residue in H, and closed.
+        rng = np.random.default_rng(90 + dim)
+        model = random_model(rng, dim=dim)
+        residue = 1j * 0.2 * HERMITICITY_TOL * scale_of(model.hamiltonian) * random_hermitian(rng, dim, 1.0)
+        h = 1.0 / 200
+        for case in (model, LindbladModel(dim, model.hamiltonian + residue, model.jump_ops)):
+            k_op = sum(dagger(a) @ a - a @ dagger(a) for a in case.jump_ops)
+            expected = 2.0 * h * dynamics._coordinates(dim).weights * dynamics._to_real(k_op)
+            terms = h * (scale_of(case.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in case.jump_ops))
+            assert np.max(np.abs(_krylov_covector(case, h) - expected)) <= 1e-15 * terms
+        for hamiltonian in (model.hamiltonian, model.hamiltonian + residue):
+            assert not _krylov_covector(LindbladModel(dim, hamiltonian), h).any()
+
     def test_overflow_reports_the_first_step(self):
         rng = np.random.default_rng(79)
         model = random_model(rng, dim=3)
-        kvec = dynamics._jump_commutator_sum(model).T.reshape(-1)
+        kvec = sum(dagger(a) @ a - a @ dagger(a) for a in model.jump_ops).T.reshape(-1)
         assert np.abs(kvec).max() > 0.0
         x0 = 1e170 * dynamics._to_real(random_density(rng, 3))
         with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:

@@ -81,6 +81,11 @@ class TestProbabilityTable:
         with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, not 1$"):
             ProbabilityTable(("a", "b"), [0.5, 0.6])
 
+    @pytest.mark.parametrize("probs", [[math.nan], [math.nan, 1.0], [0.5, math.nan]])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError):
+            ProbabilityTable(tuple("ab"[: len(probs)]), probs)
+
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ValueError, match="one-to-one"):
             ProbabilityTable(("a",), np.array([0.5, 0.5]))
@@ -179,6 +184,13 @@ class TestPreparationOperators:
         scenario = demo_scenario(1.0, 1.0)
         with pytest.raises(ValueError, match=">= 0"):
             preparation_operators(scenario.ensemble, scenario.model, -0.5)
+
+    @pytest.mark.parametrize("offset", [True, False, np.True_, "0.5", None, math.nan])
+    def test_rejects_a_time_offset_that_is_no_real_number(self, offset):
+        scenario = demo_scenario(1.0, 1.0)
+        with pytest.raises(ValueError) as err:
+            preparation_operators(scenario.ensemble, scenario.model, offset)
+        assert str(err.value) == f"time offset t_minus_tp must be a real number >= 0, got {offset!r}"
 
     def test_rejects_an_ensemble_of_another_dimension(self):
         ensemble = PreparationEnsemble((1.0,), (DensityOperator(np.eye(3) / 3.0),), ("m",))
@@ -490,7 +502,7 @@ class TestCollapseTimeChains:
     def test_guard_failure_names_the_time_along_the_chain(self, drift, failure, monkeypatch):
         # Segments of 0.25 recorded every 0.1: the first record past 0.55 is
         # 0.6 along the chain, 0.1 into the third segment, at t = 1.6 or 1.4.
-        monkeypatch.setattr(dynamics, "_predictive_rhs", _flat_rhs(drift))
+        monkeypatch.setattr(dynamics, "_lindblad", _flat_rhs(drift))
         with pytest.raises(IntegrationError, match=f"^{failure} at time 0\\.6; step size too coarse$"):
             collapse_time_sweep(_closed_qubit(1.0, 2.0), "o", "+", 5)
 
@@ -499,7 +511,7 @@ class TestCollapseTimeChains:
         # state to (1 - exp(200 t)) / 2 at once; the state overflows near
         # t = 3.5, in the second of the segments of 2.5.
         drift = _anti_dissipator(100.0, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        monkeypatch.setattr(dynamics, "_predictive_rhs", _flat_rhs(drift))
+        monkeypatch.setattr(dynamics, "_lindblad", _flat_rhs(drift))
         with pytest.raises(IntegrationError, match=r" at time 0\.1; step size too coarse$"):
             collapse_time_sweep(_closed_qubit(0.0, 10.0), "e", "+", 5)
 
@@ -627,6 +639,14 @@ class TestOutcomePairing:
         with pytest.raises(IntegrationError, match="outcome probability -1.000e-03 is more negative"):
             inference._outcome_probs(np.array([GROUND, EXCITED]), elements)
 
+    def test_a_nan_pairing_raises(self):
+        # NaN fails every comparison, so each check is written to pass only a number in range.
+        elements = np.array([math.nan * EXCITED, GROUND])
+        with pytest.raises(IntegrationError, match="^outcome probability nan is more negative"):
+            inference._outcome_probs(np.array([EXCITED]), elements)
+        with pytest.raises(IntegrationError, match="^preparation weight nan is more negative"):
+            inference._clamp_raw(np.array([0.5, math.nan]), "preparation weight")
+
     @pytest.mark.parametrize("dim", [2, 3, 9])
     def test_broadcast_pairings_match_the_per_pair_loop_bit_for_bit(self, dim):
         # Three preparations and three outcomes; at dim 9 a trace sums more than 8 entries.
@@ -662,7 +682,7 @@ def _refuse_to_build(model, *ops):
 
 
 def test_zero_window_builds_no_generator(monkeypatch):
-    for name in ("predictive_generator", "pom_backward_generator", "_predictive_rhs"):
+    for name in ("predictive_generator", "pom_backward_generator", "_lindblad"):
         monkeypatch.setattr(dynamics, name, _refuse_to_build)
     scenario = demo_scenario(1.0, 0.0)
     assert retrodict_preparation_probs(scenario, "+")["+"] == pytest.approx(1.0, abs=1e-15)
@@ -671,13 +691,13 @@ def test_zero_window_builds_no_generator(monkeypatch):
 
 
 def test_one_generator_per_model(monkeypatch):
-    builds, rhs = [], dynamics._predictive_rhs
+    builds, rhs = [], dynamics._lindblad
 
     def counting(model, ops):
         builds.append(model)
         return rhs(model, ops)
 
-    monkeypatch.setattr(dynamics, "_predictive_rhs", counting)
+    monkeypatch.setattr(dynamics, "_lindblad", counting)
     scenario = demo_scenario(1.0, 0.5)
     for _ in range(2):
         retrodict_preparation_probs(scenario, "+")

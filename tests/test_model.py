@@ -49,6 +49,12 @@ class TestTwoLevelDecayModel:
         with pytest.raises(ValueError):
             two_level_decay_model(-1.0)
 
+    @pytest.mark.parametrize("gamma", [True, np.True_, "1.0"])
+    def test_rejects_a_rate_that_is_no_real_number(self, gamma):
+        with pytest.raises(ValueError) as err:
+            two_level_decay_model(gamma)
+        assert str(err.value) == f"decay rate must be finite and positive, got {gamma!r}"
+
 
 class TestPlusMinusEnsemble:
     def test_priors_and_labels(self):
@@ -196,6 +202,30 @@ class TestScenario:
 
     def test_duration(self):
         assert demo_scenario(1.0, 2.5).duration == 2.5
+
+    @pytest.mark.parametrize(
+        "t_p, t_m, message",
+        [
+            (False, True, "t_p must be a finite real number, got False"),
+            (0.0, "1.0", "t_m must be a finite real number, got '1.0'"),
+            (np.True_, 1.0, "t_p must be a finite real number, got np.True_"),
+            (0.0, math.inf, "t_m must be a finite real number, got inf"),
+        ],
+    )
+    def test_a_time_that_is_no_finite_real_number_is_refused(self, t_p, t_m, message):
+        demo = demo_scenario(1.0, 1.0)
+        with pytest.raises(ValueError) as err:
+            Scenario(demo.model, demo.ensemble, demo.pom, t_p, t_m)
+        assert str(err.value) == f"scenario: {message} (deviation nan)"
+        report = validate_scenario_data(
+            2, demo.model.hamiltonian, demo.model.jump_ops, demo.ensemble.priors, [st.op for st in demo.ensemble.states],
+            demo.ensemble.labels, demo.pom.elements, demo.pom.labels, t_p, t_m,
+        )
+        assert report.lines() == [f"scenario: {message} (deviation nan)"]
+
+    def test_numpy_times_are_accepted(self):
+        demo = demo_scenario(1.0, 1.0)
+        assert Scenario(demo.model, demo.ensemble, demo.pom, np.float32(0.5), np.int64(2)).duration == 1.5
 
 
 def _scenario_of_dims(model_dim: int, ensemble_dim: int, pom_dim: int) -> Scenario:

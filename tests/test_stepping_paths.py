@@ -34,12 +34,14 @@ from retrolind import (
     evolve_predictive,
     evolve_retrodictive,
     pom_backward_generator,
+    pom_premeasurement_rhs,
     predictive_generator,
+    predictive_rhs,
     retrodictive_rhs,
     rk4_integrate,
 )
 from retrolind import dynamics
-from retrolind.operators import scale_of
+from retrolind.operators import dagger, scale_of
 
 from scenario_factory import random_density, random_model
 
@@ -132,6 +134,21 @@ def test_linear_plans_match_the_staged_reference(case):
             held = evolve(op, case.duration)
             flat = held.states.reshape(len(held), d * d)
             _assert_records_match(Trajectory(held.times, flat), Trajectory(staged.times, staged.states[:, :, col]))
+
+
+@MORE
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 3), st.integers(1, 5))
+def test_the_lindblad_body_on_a_stack_is_the_rhs_of_each_operator(seed, dim, jumps, n):
+    # The body that L is built from, on an (n, d, d) stack of any operators, in both directions.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim, jumps)
+    stack = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    terms = scale_of(model.hamiltonian) + sum(scale_of(dagger(a) @ a) for a in model.jump_ops)
+    for backward, rhs in ((False, predictive_rhs), (True, pom_premeasurement_rhs)):
+        body = dynamics._lindblad(model, stack, backward)
+        assert body.shape == stack.shape
+        for op, got in zip(stack, body):
+            assert np.max(np.abs(got - rhs(model, op))) <= 1e-15 * terms * scale_of(op)
 
 
 @MORE
