@@ -26,7 +26,7 @@ from .model import (
     IntegratorConfig,
     Pom,
     Scenario,
-    _is_real,
+    _is_finite,
     plus_minus_ensemble,
     two_level_decay_model,
 )
@@ -39,9 +39,9 @@ __all__ = [
 
 
 def _check_rates(gamma: float, elapsed: float, elapsed_name: str) -> None:
-    if not (_is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
+    if not (_is_finite(gamma) and gamma > 0.0):
         raise ValueError(f"decay rate must be finite and positive, got {gamma!r}")
-    if not (_is_real(elapsed) and math.isfinite(elapsed) and elapsed >= 0.0):
+    if not (_is_finite(elapsed) and elapsed >= 0.0):
         raise ValueError(f"{elapsed_name} must be finite and >= 0, got {elapsed!r}")
 
 

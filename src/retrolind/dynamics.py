@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import accumulate
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _is_real, _raise_if_issues
+from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _is_finite, _raise_if_issues
 from .operators import as_operator, dagger, trace
 from .tolerances import MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -58,8 +59,8 @@ _Advance = Callable[[np.ndarray, int], np.ndarray]  # x, m -> the state m RK4 st
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced an unusable state.  One raised by rk4_integrate names the
-    first non-finite RK4 step as step and carries the finite records before it as trajectory."""
+    """Numerical integration produced an unusable state.  One raised by rk4_integrate names the first
+    non-finite RK4 step of its segment as step and carries the run's finite records before it as trajectory."""
 
     def __init__(self, message: str, step: int | None = None, trajectory: Trajectory | None = None):
         super().__init__(message)
@@ -221,54 +222,64 @@ def _rk4_step(rhs: _Rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _stride(duration: float, config: IntegratorConfig) -> tuple[int, int]:
+    """The RK4 steps over duration, ceil(duration * steps_per_unit_time), and the records they add."""
+    n_steps = math.ceil(duration * config.steps_per_unit_time)
+    return n_steps, -(-n_steps // config.record_every)
+
+
 def rk4_integrate(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    x0,
-    duration: float,
-    config: IntegratorConfig = IntegratorConfig(),
+    rhs: _Rhs, x0, duration: float | Sequence[float], config: IntegratorConfig = IntegratorConfig(),
     _advance: Callable[[_Rhs, float], _Advance] | None = None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 over ceil(duration * steps_per_unit_time) steps.
+    """Classical fixed-step RK4 over duration, or over consecutive segments, each from the last one's
+    final state: ceil(segment * steps_per_unit_time) steps of h = segment / n, every record_every-th
+    state and the last recorded at start + k h, start the float sum of the earlier segments.  Every
+    segment is checked before the first step.  The run is stepped to its end, so rhs may meet a state
+    that is not finite, and its records tested for finiteness once; a run that fails is stepped again
+    with each record tested, and a record that is not finite is re-stepped from the last by advance(x, 1),
+    which raises IntegrationError, with the records before it, at its segment's first non-finite step,
+    or, where only the m-step product overflowed, gives the finite record.  numpy's overflow and
+    invalid-value warnings are silenced; that error reports them.
 
-    Records every record_every-th state plus the final one, in one array.
-    Each record is reached from the last by advance(x, m), m steps at once,
-    and tested for finiteness once.  A record that is not finite is
-    re-stepped from the last one by advance(x, 1), which raises IntegrationError,
-    with the records before it, at the first non-finite step, or, where only the
-    m-step product overflowed, gives the finite record.  numpy's overflow and
-    invalid-value warnings are silenced, since that error reports them.
-
-    advance takes m stage-by-stage steps of rhs, the reference that every
-    other path is tested against; _advance(rhs, h), if given, makes the
-    advance instead, from the rhs passed here (see _linear and _krylov).  The
-    records are float64 while x0 and every advance are real, else complex128."""
-    if not (_is_real(duration) and math.isfinite(duration) and duration >= 0.0):
-        raise ValueError(f"duration must be a finite real number >= 0, got {duration!r}")
-    duration = float(duration)
-    x = np.asarray(x0, dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
-    if duration == 0.0:
-        return Trajectory(np.zeros(1), np.array([x]))
-    n_steps = math.ceil(duration * config.steps_per_unit_time)
-    h = duration / n_steps
-    steps = np.minimum(np.arange(1 + -(-n_steps // config.record_every)) * config.record_every, n_steps)
-    states = np.empty((len(steps), *x.shape), dtype=x.dtype)
-    states[0] = x
+    Each record is reached from the last by advance(x, m), m stage-by-stage steps of rhs, the reference
+    that every other path is tested against; _advance(rhs, h), if given, makes the advance instead, from
+    the rhs passed here (see _linear and _krylov).  The records are float64 while x0 and every advance
+    are real, else complex128."""
+    times, plan, start, every = [0.0], [], 0.0, config.record_every
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = (_advance or _staged)(rhs, h)
-        k = 0
-        for r in range(1, len(steps)):
-            m = min(config.record_every, n_steps - k)
-            nxt = advance(x, m)
-            if not np.isfinite(nxt).all():
-                nxt = x
-                for i in range(k + 1, k + m + 1):
-                    nxt = advance(nxt, 1)
-                    if not np.isfinite(nxt).all():
-                        raise IntegrationError(f"non-finite state at step {i} of {n_steps}", i, Trajectory(steps[:r] * h, states[:r]))
-            states = states.astype(np.result_type(states, nxt), copy=False)  # complex from the first complex advance
-            states[r] = x = nxt
-            k += m
-    return Trajectory(steps * h, states)
+        for segment in [duration] if np.ndim(duration) == 0 else duration:
+            if not (_is_finite(segment) and segment >= 0.0):
+                raise ValueError(f"duration must be a finite real number >= 0, got {segment!r}")
+            segment = float(segment)
+            n = _stride(segment, config)[0]
+            if n:
+                h, strides = segment / n, [(k, min(every, n - k)) for k in range(0, n, every)]
+                advance = (_advance or _staged)(rhs, h)
+                times += [start + (k + m) * h for k, m in strides]
+                plan += [(advance, k, m, n) for k, m in strides]
+            start += segment
+        states = np.empty((len(times), *np.shape(x0)), dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
+        states[0], times = x0, np.array(times)
+        run = _records(plan, states)
+        return Trajectory(times, run if np.isfinite(run).all() else _records(plan, states, times))
+
+
+def _records(plan, states: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
+    """Each record r of states by plan[r - 1] = (advance, k, m, n), m steps on from step k of n, tested given times."""
+    x = states[0]
+    for r, (advance, k, m, n) in enumerate(plan, 1):
+        nxt = advance(x, m)
+        if times is not None and not np.isfinite(nxt).all():
+            nxt = x
+            for i in range(k + 1, k + m + 1):
+                nxt = advance(nxt, 1)
+                if not np.isfinite(nxt).all():
+                    raise IntegrationError(f"non-finite state at step {i} of {n}", i, Trajectory(times[:r], states[:r]))
+        if nxt.dtype != states.dtype:
+            states = states.astype(np.result_type(states, nxt), copy=False)
+        states[r] = x = nxt
+    return states
 
 
 def _staged(rhs: _Rhs, h: float) -> _Advance:
@@ -326,7 +337,7 @@ def _linear(model: LindbladModel, backward: bool, rhs: _Rhs, h: float) -> _Advan
     """The advance x -> S^m x for the RK4 step matrix S = sum_{k<=4} (hG)^k / k! of a linear
     rhs v -> G v, as x + (S^m - I) x: one product carries every column of x from one record to
     the next, and the step plan S^m - I that _plan holds, formed on the increments, keeps the
-    round-off of a record that of one step.  The current stride's plan is kept at hand.
+    round-off of a record that of one step.  rk4_integrate makes one per segment, which keeps its stride's plan at hand.
 
     S is built by _rk4_step on the rhs that rk4_integrate received, not by
     Horner's rule on G, because the benchmark's tracer counts RK4 steps as
@@ -398,45 +409,25 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
 
 
 def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfig):
-    """ops, one (d, d) operator or an (n, d, d) stack, carried over consecutive
-    segments by the "predictive", "pom-backward" or "retrodictive" equation,
-    each from the last one's final, in the real coordinates of ops symmetrized
-    (_to_real; a stack's as (d^2, n) columns): the linear ones on the step
-    plans the model holds (see _linear and _plan), the retrodictive one in a
-    Krylov basis (see _krylov).  Returns the times along the run, its records
-    (records, *ops.shape), made complex and guarded in one _guard pass, and the
-    indices of the start and of each segment's end.  A segment that stops being
-    finite ends the run after that pass, its finite records included, so the
-    earliest failure is raised."""
+    """ops, one (d, d) operator or an (n, d, d) stack, in the real coordinates of ops symmetrized (_to_real),
+    carried over consecutive segments by the "predictive", "pom-backward" or "retrodictive" equation in one
+    rk4_integrate call, on the model's step plans (_linear) or in a Krylov basis (_krylov).  Returns the run's
+    times, its records (records, *ops.shape), complex and guarded in one _guard pass (a failed run's up to its
+    last finite one, so the earliest failure raises), and the record indices of the start and each segment's end."""
     ops = np.asarray(ops, dtype=np.complex128)
     backward = mode == "pom-backward"
     if mode == "retrodictive":
         rhs, advance = None, partial(_krylov, model)
     else:
-
-        def rhs(v: np.ndarray) -> np.ndarray:
-            return _model_generator(model, backward) @ v
-
-        advance = partial(_linear, model, backward)
-    x = _to_real(ops).T
-    times, records, ends, failure = [], [], [0], None
-    start = 0.0
-    for segment in segments:
-        try:
-            flat = rk4_integrate(rhs, x, segment, config, _advance=advance)
-        except IntegrationError as exc:
-            flat, failure = exc.trajectory, exc
-        times.append(start + flat.times[1:] if records else flat.times)  # a later run starts at a recorded final
-        records.append(flat.states[1:] if records else flat.states)
-        if failure:
-            break
-        ends.append(ends[-1] + len(flat) - 1)
-        x, start = flat.states[-1], start + segment
-    times, records = (p[0] if len(p) == 1 else np.concatenate(p) for p in (times, records))  # one run is not copied
-    records = _guard(times, np.swapaxes(records, 1, -1), check_trace=not backward)
+        rhs, advance = (lambda v: _model_generator(model, backward) @ v), partial(_linear, model, backward)
+    try:
+        run, failure = rk4_integrate(rhs, _to_real(ops).T, segments, config, _advance=advance), None
+    except IntegrationError as exc:
+        run, failure = exc.trajectory, exc
+    records = _guard(run.times, np.swapaxes(run.states, 1, -1), check_trace=not backward)
     if failure:
         raise failure
-    return times, records, ends
+    return run.times, records, list(accumulate((_stride(segment, config)[1] for segment in segments), initial=0))
 
 
 def _guard(times: np.ndarray, coords: np.ndarray, check_trace: bool) -> np.ndarray:

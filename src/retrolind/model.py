@@ -119,6 +119,14 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    """A finite number by _is_real; an int too large for a float counts as not finite."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     if not _is_int(dim) or dim < 1:
         return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan)]
@@ -188,7 +196,7 @@ def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
 
 def _times_issues(t_p: float, t_m: float) -> list[ValidationIssue]:
     for name, t in (("t_p", t_p), ("t_m", t_m)):
-        if not (_is_real(t) and math.isfinite(t)):
+        if not _is_finite(t):
             return [ValidationIssue("scenario", f"{name} must be a finite real number, got {t!r}", math.nan)]
     if t_m < t_p:
         return [ValidationIssue("scenario", "measurement time t_m precedes preparation time t_p", t_p - t_m)]
@@ -223,10 +231,9 @@ def _step_count_issues(
         ]
     try:
         steps = (t_m - t_p) * steps_per_unit_time
-        finite = math.isfinite(steps)
-    except OverflowError:  # an int too large to convert to float
-        finite = False
-    if not finite:
+    except OverflowError:  # a float times an int too large to convert to float
+        steps = math.inf
+    if not _is_finite(steps):
         return [
             ValidationIssue(
                 "integrator.steps_per_unit_time", "step count over the window is not a finite float", math.nan
@@ -440,7 +447,7 @@ def two_level_decay_model(gamma: float) -> LindbladModel:
     The single jump operator is sqrt(gamma/2) |g><e|, so the excited
     population obeys d(rho_ee)/dt = -gamma rho_ee.
     """
-    if not (_is_real(gamma) and math.isfinite(gamma) and gamma > 0.0):
+    if not (_is_finite(gamma) and gamma > 0.0):
         raise ValueError(f"decay rate must be finite and positive, got {gamma!r}")
     lower = np.zeros((2, 2), dtype=np.complex128)
     lower[1, 0] = math.sqrt(gamma / 2.0)

@@ -106,6 +106,20 @@ class TestDemoScenario:
             build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: demo_scenario(1.0, 10**400), f"window must be finite and >= 0, got {10**400!r}"),
+            (lambda: demo_scenario(10**400, 1.0), f"decay rate must be finite and positive, got {10**400!r}"),
+            (lambda: analytic_retrodictive_state(1.0, 10**400), f"tau must be finite and >= 0, got {10**400!r}"),
+        ],
+        ids=["window", "rate", "tau"],
+    )
+    def test_an_int_too_large_for_a_float_is_no_finite_rate_or_time(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_numpy_numbers_are_rates_and_times(self):
         scenario = demo_scenario(np.float64(1.0), np.int64(2))
         assert scenario.duration == 2.0

@@ -212,6 +212,10 @@ class TestGenerators:
             np.testing.assert_allclose(via_matrix, pom_premeasurement_rhs(model, m), atol=1e-13)
 
 
+def _refuse_to_step(v):
+    raise AssertionError("a refused duration was stepped")
+
+
 class TestRk4Integrate:
     def test_scalar_exponential(self):
         traj = rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), 1.0)
@@ -264,6 +268,25 @@ class TestRk4Integrate:
         with pytest.raises(ValueError) as err:
             rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), duration)
         assert str(err.value) == f"duration must be a finite real number >= 0, got {duration!r}"
+
+    @pytest.mark.parametrize("duration", [10**400, [0.5, 10**400]], ids=["scalar", "segment"])
+    def test_an_int_too_large_for_a_float_is_no_finite_duration(self, duration):
+        with pytest.raises(ValueError) as err:
+            rk4_integrate(_refuse_to_step, np.array([1.0]), duration)
+        assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
+
+    def test_every_segment_is_checked_before_the_first_step(self):
+        with pytest.raises(ValueError, match=r"^duration must be a finite real number >= 0, got -1\.0$"):
+            rk4_integrate(_refuse_to_step, np.array([1.0]), [0.5, 0.0, -1.0])
+
+    def test_segments_step_on_from_each_final_and_zero_lengths_add_no_record(self):
+        config = IntegratorConfig(steps_per_unit_time=100, record_every=10)
+        run = rk4_integrate(lambda v: -v, np.array([1.0]), [0.0, 0.5, 0.0, 0.5], config)
+        first = rk4_integrate(lambda v: -v, np.array([1.0]), 0.5, config)
+        second = rk4_integrate(lambda v: -v, first.final, 0.5, config)
+        assert run.times.tobytes() == np.concatenate([first.times, 0.5 + second.times[1:]]).tobytes()
+        assert run.states.tobytes() == np.concatenate([first.states, second.states[1:]]).tobytes()
+        assert len(run) == 11
 
     def test_a_numpy_duration_steps_as_the_float(self):
         ref = rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), 1.0)
@@ -844,6 +867,16 @@ def test_a_duration_that_is_no_real_number_is_refused_before_integrating(mode, d
     with pytest.raises(ValueError) as err:
         _evolve_mode(mode, model, random_density(rng, 2), duration)
     assert str(err.value) == f"duration must be a finite real number >= 0, got {duration!r}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_int_too_large_for_a_float_is_refused_before_integrating(mode, monkeypatch):
+    rng = np.random.default_rng(47)
+    model = random_model(rng, dim=2)
+    monkeypatch.setattr(dynamics, "_model_generator", _refuse_to_build)
+    with pytest.raises(ValueError) as err:
+        _evolve_mode(mode, model, random_density(rng, 2), 10**400)
+    assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
 
 
 class TestZeroLengthEvolution:

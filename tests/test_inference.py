@@ -489,6 +489,44 @@ class TestCollapseTimeChains:
         # 4 segments of 250 steps, each recorded every 10th step after the start.
         assert blocks == [("cholesky", (101, 2, 2)), ("cholesky", (101, 2, 2))]
 
+    def test_a_sweep_integrates_once_per_direction(self, monkeypatch):
+        built, segments = [], []
+        integrate = dynamics.rk4_integrate
+
+        class CountingTrajectory(dynamics.Trajectory):
+            def __post_init__(self):
+                built.append(len(self.times))
+                super().__post_init__()
+
+        def counting_integrate(rhs, x0, duration, *args, **kwargs):
+            segments.append(len(duration))
+            return integrate(rhs, x0, duration, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "Trajectory", CountingTrajectory)
+        monkeypatch.setattr(dynamics, "rk4_integrate", counting_integrate)
+        collapse_time_sweep(demo_scenario(1.0, 1.0), "+", "-", 5)
+        # Each direction: one run over the 4 segments of 250 steps, recorded every 10th step.
+        assert segments == [4, 4] and built == [101, 101]
+
+    def test_a_failed_run_costs_at_most_one_pass_more(self):
+        calls = []
+
+        def counting(rhs, h):
+            advance = dynamics._staged(rhs, h)
+            return lambda x, m: calls.append(m) or advance(x, m)
+
+        # 25 and 30 steps, recorded every 10th step and at the end: 3 + 3 records after the start.
+        config, segments = IntegratorConfig(100, 10), [0.25, 0.0, 0.3]
+        run = dynamics.rk4_integrate(lambda v: -v, np.ones(1), segments, config, _advance=counting)
+        assert len(run) == 7 and len(calls) == 6  # one advance per record
+        calls.clear()
+        # Growing by about 1.65 per step from 1e300, the sum of a step's stages overflows 28 steps in.
+        with pytest.raises(IntegrationError, match="^non-finite state at step 3 of 30$") as err:
+            dynamics.rk4_integrate(lambda v: 50.0 * v, np.array([1e300]), segments, config, _advance=counting)
+        k, finite = err.value.step, len(err.value.trajectory)
+        # The full pass, then the replay: each record up to the failing one, and single steps from the last to k.
+        assert len(calls) <= 6 + finite + k - (k - 1) // 10 * 10
+
     @pytest.mark.parametrize(
         "drift, failure",
         [

@@ -55,6 +55,11 @@ class TestTwoLevelDecayModel:
             two_level_decay_model(gamma)
         assert str(err.value) == f"decay rate must be finite and positive, got {gamma!r}"
 
+    def test_rejects_an_int_rate_too_large_for_a_float(self):
+        with pytest.raises(ValueError) as err:
+            two_level_decay_model(10**400)
+        assert str(err.value) == f"decay rate must be finite and positive, got {10**400!r}"
+
 
 class TestPlusMinusEnsemble:
     def test_priors_and_labels(self):
@@ -210,6 +215,7 @@ class TestScenario:
             (0.0, "1.0", "t_m must be a finite real number, got '1.0'"),
             (np.True_, 1.0, "t_p must be a finite real number, got np.True_"),
             (0.0, math.inf, "t_m must be a finite real number, got inf"),
+            pytest.param(0, 10**400, f"t_m must be a finite real number, got {10**400!r}", id="int-too-large-for-a-float"),
         ],
     )
     def test_a_time_that_is_no_finite_real_number_is_refused(self, t_p, t_m, message):

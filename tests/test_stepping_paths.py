@@ -282,3 +282,65 @@ def test_a_krylov_overflow_between_records_names_its_step():
     run = lambda t: evolve_retrodictive(model, DensityOperator(rho), t, case.config)  # noqa: E731
     k = _overflow_step(run, 120, 128, guarded_every=50)
     assert k % 50 != 0
+
+
+def _chained(integrate, x0, segments):
+    """The reference for one run over segments: one integrate(x, segment) per segment, each from the
+    last one's final state, at times offset by the float sum of the earlier segments.  Returns the
+    chain's times and states and the IntegrationError that ended it, if one did; its records are
+    then the finite prefix of the chain."""
+    times, states, start, x = [np.zeros(1)], [np.asarray(x0, dtype=float)[None]], 0.0, x0
+    for segment in segments:
+        try:
+            run, failure = integrate(x, segment), None
+        except IntegrationError as exc:
+            run, failure = exc.trajectory, exc
+        times.append(start + run.times[1:])
+        states.append(run.states[1:])
+        if failure:
+            break
+        x, start = run.final, start + segment
+    return np.concatenate(times), np.concatenate(states), failure
+
+
+@st.composite
+def chains(draw):
+    """A case, its segments (zeros, whole numbers of steps and off-grid lengths) and whether it overflows."""
+    case = draw(cases(densities=(64, 256, 1024)))
+    spu = case.steps_per_unit_time
+    on_grid = st.integers(1, 90).map(lambda n: n / spu)
+    segment = st.one_of(on_grid, st.floats(0.001, 0.08), on_grid, st.just(0.0))
+    return case, draw(st.lists(segment, min_size=1, max_size=6)), draw(st.booleans())
+
+
+@SETTINGS
+@given(chains())
+def test_a_run_over_segments_is_the_chain_of_its_segments(chain):
+    case, segments, overflow = chain
+    rng, model = case.model()
+    d, spu, config = case.dim, case.steps_per_unit_time, case.config
+    steps = sum(math.ceil(t * spu) for t in segments)
+    if overflow:  # from a state scaled up, overflow about halfway through the run
+        model = _stiff(model, 1.0 / spu, (math.log(1e308) + 100.0) / max(1, 3 * steps // 4))
+    scale = 10.0**100 if overflow else 1.0
+    gen = dynamics._model_generator(model)
+    block = scale * dynamics._to_real(np.array([random_density(rng, d) for _ in range(case.columns)])).T
+    rho = dynamics._to_real(random_density(rng, d))
+    paths = {
+        "staged": (lambda x, t: rk4_integrate(lambda v: gen @ v, x, t, config), block),
+        # Step plans held for one call alone, so the chain and the run share none.
+        "plans": (lambda x, t: rk4_integrate(lambda v: gen @ v, x, t, config, _advance=partial(dynamics._linear, SimpleNamespace(), False)), block),
+        "krylov": (lambda x, t: rk4_integrate(None, x, t, config, _advance=partial(dynamics._krylov, model)), rho),
+    }
+    for name, (integrate, x0) in paths.items():
+        times, states, failure = _chained(integrate, x0, segments)
+        if failure is None:
+            run = integrate(x0, segments)
+        else:
+            with pytest.raises(IntegrationError) as err:
+                integrate(x0, segments)
+            assert err.value.step == failure.step and str(err.value) == str(failure)
+            run = err.value.trajectory
+        assert run.times.tobytes() == times.tobytes() and run.states.tobytes() == states.tobytes()
+        if overflow and steps and name != "krylov":
+            assert failure is not None
