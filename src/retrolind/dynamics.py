@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _is_finite, _raise_if_issues
+from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
+from .model import _brief, _is_finite
 from .operators import as_operator, dagger, trace
 from .tolerances import MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -224,7 +225,13 @@ def _rk4_step(rhs: _Rhs, x: np.ndarray, h: float) -> np.ndarray:
 
 def _stride(duration: float, config: IntegratorConfig) -> tuple[int, int]:
     """The RK4 steps over duration, ceil(duration * steps_per_unit_time), and the records they add."""
-    n_steps = math.ceil(duration * config.steps_per_unit_time)
+    try:
+        n_steps = math.ceil(duration * config.steps_per_unit_time)
+    except OverflowError:  # the product is inf, or steps_per_unit_time is an int too large for a float
+        raise ValueError(
+            f"duration {duration!r} at {_brief(config.steps_per_unit_time)} steps_per_unit_time "
+            "gives a step count that is not a finite float"
+        ) from None
     return n_steps, -(-n_steps // config.record_every)
 
 

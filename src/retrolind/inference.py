@@ -27,6 +27,7 @@ from .model import (
     LindbladModel,
     PreparationEnsemble,
     Scenario,
+    _brief,
     _is_int,
     _is_real,
 )
@@ -246,10 +247,10 @@ def collapse_time_sweep(
     if not _is_index(n_times):
         raise ValueError(f"number of collapse times n_times must be an integer, got {n_times!r}")
     if n_times < 2:
-        raise ValueError(f"need at least 2 collapse times, got {n_times}")
+        raise ValueError(f"need at least 2 collapse times, got {_brief(n_times)}")
     if n_times > MAX_RK4_STEPS or n_times * scenario.model.dim**2 * 16 > MAX_RECORDED_BYTES:
         raise ValueError(
-            f"{n_times} collapse times exceed the work budget of {MAX_RK4_STEPS:.0e} RK4 steps and "
+            f"{_brief(n_times)} collapse times exceed the work budget of {MAX_RK4_STEPS:.0e} RK4 steps and "
             f"{MAX_RECORDED_BYTES:.0f} recorded bytes per direction"
         )
     i = _label_index(scenario.ensemble.labels, preparation, "preparation")

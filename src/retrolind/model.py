@@ -127,6 +127,13 @@ def _is_finite(x) -> bool:
         return False
 
 
+def _brief(n: int) -> str:
+    """An integer as printed up to 20 digits, else as 1.235e+400, which f"{n:.3e}" cannot give past a float."""
+    from decimal import Decimal  # only on the refusal paths: not worth its import time
+
+    return str(n) if abs(n) < 10**20 else f"{Decimal(n):.3e}"
+
+
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     if not _is_int(dim) or dim < 1:
         return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan)]
@@ -185,7 +192,7 @@ def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
         return [ValidationIssue("ensemble.priors", f"{len(priors)} priors for {n_states} states", math.nan)]
     issues = _label_issues("ensemble.labels", labels, n_states, "states")
     for i, p in enumerate(priors):
-        if not math.isfinite(p) or p < 0.0:
+        if not (_is_finite(p) and p >= 0.0):
             issues.append(ValidationIssue(f"ensemble.priors[{i}]", f"prior must be >= 0, got {p}", math.nan))
             return issues
     total_dev = abs(math.fsum(priors) - 1.0)
@@ -344,14 +351,14 @@ class PreparationEnsemble:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        priors = tuple(float(p) for p in self.priors)
+        priors = tuple(self.priors)
         states = tuple(self.states)
         labels = tuple(self.labels)
         _raise_if_issues(_prior_issues(priors, labels, len(states)))
         dims = {st.dim for st in states}
         if len(dims) > 1:
             raise ValueError(f"ensemble states have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "priors", tuple(map(float, priors)))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -280,14 +282,20 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory, time_description: str) -> None:
-    """Write recorded states as delimited text, one row per time, in blocks of rows."""
+    """Write recorded states as delimited text, one row per time, in blocks of rows, over the file in place:
+    a regular file is then cut to the bytes written, never to zero first, which ext4 takes for a replace
+    and writes back at close.  Nothing is synced."""
     times, states = trajectory.times, trajectory.states
     rows = max(1, _CSV_BLOCK // (1 + 2 * states[0].size))
-    with open(path, "wb") as out:
-        out.write(f"# time column: {time_description}\n{_csv_columns(states.shape[-1])}\n".encode())
-        for k in range(0, len(times), rows):
-            block = np.ascontiguousarray(states[k : k + rows], dtype=np.complex128)
-            out.write(_e12_bytes(np.column_stack([times[k : k + rows], block.reshape(len(block), -1).view(float)])))
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        try:
+            out.write(f"# time column: {time_description}\n{_csv_columns(states.shape[-1])}\n".encode())
+            for k in range(0, len(times), rows):
+                block = np.ascontiguousarray(states[k : k + rows], dtype=np.complex128)
+                out.write(_e12_bytes(np.column_stack([times[k : k + rows], block.reshape(len(block), -1).view(float)])))
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
 
 
 @functools.cache

@@ -216,6 +216,10 @@ def _refuse_to_step(v):
     raise AssertionError("a refused duration was stepped")
 
 
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("the records of a refused duration were allocated")
+
+
 class TestRk4Integrate:
     def test_scalar_exponential(self):
         traj = rk4_integrate(lambda v: -v, np.array([1.0 + 0.0j]), 1.0)
@@ -274,6 +278,21 @@ class TestRk4Integrate:
         with pytest.raises(ValueError) as err:
             rk4_integrate(_refuse_to_step, np.array([1.0]), duration)
         assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
+
+    @pytest.mark.parametrize("duration", [1e306, [0.5, 1e306]], ids=["scalar", "segment"])
+    def test_a_step_count_that_is_no_finite_float_is_refused_before_allocating(self, duration, monkeypatch):
+        monkeypatch.setattr(np, "empty", _refuse_to_allocate)
+        with pytest.raises(ValueError) as err:
+            rk4_integrate(_refuse_to_step, np.array([1.0]), duration)
+        message = "duration 1e+306 at 1000 steps_per_unit_time gives a step count that is not a finite float"
+        assert str(err.value) == message and len(message) < 200
+
+    def test_a_huge_steps_per_unit_time_is_printed_bounded(self, monkeypatch):
+        monkeypatch.setattr(np, "empty", _refuse_to_allocate)
+        with pytest.raises(ValueError) as err:
+            rk4_integrate(_refuse_to_step, np.array([1.0]), 0.5, IntegratorConfig(10**400, 1))
+        message = "duration 0.5 at 1.000e+400 steps_per_unit_time gives a step count that is not a finite float"
+        assert str(err.value) == message and len(message) < 200
 
     def test_every_segment_is_checked_before_the_first_step(self):
         with pytest.raises(ValueError, match=r"^duration must be a finite real number >= 0, got -1\.0$"):
@@ -877,6 +896,16 @@ def test_an_int_too_large_for_a_float_is_refused_before_integrating(mode, monkey
     with pytest.raises(ValueError) as err:
         _evolve_mode(mode, model, random_density(rng, 2), 10**400)
     assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_step_count_that_is_no_finite_float_is_refused_before_integrating(mode, monkeypatch):
+    rng = np.random.default_rng(47)
+    model = random_model(rng, dim=2)
+    monkeypatch.setattr(dynamics, "_model_generator", _refuse_to_build)
+    with pytest.raises(ValueError) as err:
+        _evolve_mode(mode, model, random_density(rng, 2), 1e308)
+    assert str(err.value) == "duration 1e+308 at 400 steps_per_unit_time gives a step count that is not a finite float"
 
 
 class TestZeroLengthEvolution:

@@ -414,6 +414,20 @@ class TestCollapseTimeSweep:
         with pytest.raises(AssertionError, match="allocated"):
             collapse_time_sweep(scenario, 0, 0, most)
 
+    @pytest.mark.parametrize(
+        "n_times, start",
+        [
+            (10**400, "1.000e+400 collapse times exceed the work budget of 1e+07 RK4 steps and "),
+            (-(10**400), "need at least 2 collapse times, got -1.000e+400"),
+            (-(10**5000), "need at least 2 collapse times, got -1.000e+5000"),  # past int-to-str's digit limit
+        ],
+        ids=["over-the-budget", "negative", "negative-past-the-str-digit-limit"],
+    )
+    def test_a_huge_n_times_is_refused_in_a_bounded_message(self, n_times, start):
+        with pytest.raises(ValueError) as err:
+            collapse_time_sweep(demo_scenario(1.0, 1.0), "+", "+", n_times)
+        assert str(err.value).startswith(start) and len(str(err.value)) < 200
+
     def test_matches_independent_integration_per_point(self):
         """Chaining from point to point matches integrating from t_p and from t_m anew for every point."""
         rng = np.random.default_rng(33)

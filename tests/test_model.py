@@ -193,6 +193,12 @@ class TestPreparationEnsemble:
                 (-0.5, 1.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b")
             )
 
+    @pytest.mark.parametrize("prior", [10**400, True, "0.5"], ids=["int-too-large-for-a-float", "bool", "str"])
+    def test_a_prior_that_is_no_finite_number_is_refused(self, prior):
+        with pytest.raises(ValueError) as err:
+            PreparationEnsemble((prior, 0.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b"))
+        assert str(err.value) == f"ensemble.priors[0]: prior must be >= 0, got {prior} (deviation nan)"
+
 
 class TestScenario:
     def test_measurement_before_preparation_rejected(self):
@@ -347,6 +353,25 @@ class TestValidateScenario:
         (issue,) = report.issues
         assert issue.field == "ensemble.priors"
         assert issue.deviation == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("prior", [10**400, True, "0.5"], ids=["int-too-large-for-a-float", "bool", "str"])
+    def test_raw_data_report_names_a_prior_that_is_no_finite_number(self, prior):
+        demo = demo_scenario(1.0, 1.0)
+        report = validate_scenario_data(
+            2,
+            demo.model.hamiltonian,
+            demo.model.jump_ops,
+            [prior, 0.5],
+            [st.op for st in demo.ensemble.states],
+            demo.ensemble.labels,
+            demo.pom.elements,
+            demo.pom.labels,
+            0.0,
+            1.0,
+        )
+        (issue,) = report.issues
+        assert issue.field == "ensemble.priors[0]"
+        assert issue.message == f"prior must be >= 0, got {prior}"
 
     def test_raw_data_report_flags_incomplete_pom(self):
         demo = demo_scenario(1.0, 1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from retrolind.scenario_io import (
     parse_scenario,
     scenario_to_jsonable,
 )
-from retrolind import model
+from retrolind import model, scenario_io
 from retrolind.atom import demo_scenario
 from retrolind.operators import min_eigenvalue
 
@@ -383,6 +384,77 @@ class TestTrajectoryCsvBlocks:
 
         # One block's table of doubles is 128 KB; 200 000 dim-2 records are 12.8 MB of states.
         assert traced_peak(200_000) <= traced_peak(20_000) + 8 * _CSV_BLOCK
+
+
+def _seq(n: int) -> bytes:
+    """What `seq 1 n` prints: a file far longer than any trajectory below."""
+    return "".join(f"{i}\n" for i in range(1, n + 1)).encode()
+
+
+class TestTrajectoryCsvInPlace:
+    """The writer overwrites a file in place and cuts it to the bytes written."""
+
+    @pytest.fixture
+    def traj(self):
+        from retrolind import Trajectory
+
+        rng = np.random.default_rng(57)
+        return Trajectory(np.arange(40) * 0.1, _awkward_states(rng, 40, 3))
+
+    def _fresh(self, tmp_path, traj) -> bytes:
+        write_trajectory_csv(tmp_path / "fresh.csv", traj, "t")
+        return (tmp_path / "fresh.csv").read_bytes()
+
+    def test_a_rewrite_over_a_longer_file_leaves_the_bytes_of_a_fresh_write(self, traj, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_bytes(_seq(200_000))
+        write_trajectory_csv(path, traj, "t")
+        assert path.read_bytes() == self._fresh(tmp_path, traj)
+
+    def test_a_symlink_is_written_through_and_the_target_inode_kept(self, traj, tmp_path):
+        target, link, twin = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "twin.csv"
+        target.write_bytes(_seq(20_000))
+        link.symlink_to(target)
+        twin.hardlink_to(target)
+        inode = target.stat().st_ino
+        write_trajectory_csv(link, traj, "t")
+        assert link.is_symlink() and link.readlink() == target
+        assert target.stat().st_ino == inode and target.stat().st_nlink == 2
+        assert target.read_bytes() == twin.read_bytes() == self._fresh(tmp_path, traj)
+
+    def test_dev_null_is_written(self, traj):
+        write_trajectory_csv("/dev/null", traj, "t")
+
+    def test_a_write_that_raises_leaves_the_bytes_written_and_no_old_tail(self, traj, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_io, "_CSV_BLOCK", 4 * 19)  # 4 rows a block at dim 3
+        fresh = self._fresh(tmp_path, traj)
+        blocks, formatter = [], scenario_io._e12_bytes
+
+        def second_block_raises(table):
+            blocks.append(table)
+            if len(blocks) == 2:
+                raise MemoryError("second block")
+            return formatter(table)
+
+        monkeypatch.setattr(scenario_io, "_e12_bytes", second_block_raises)
+        path = tmp_path / "old.csv"
+        path.write_bytes(_seq(20_000))
+        with pytest.raises(MemoryError, match="second block"):
+            write_trajectory_csv(path, traj, "t")
+        assert path.read_bytes() == b"".join(fresh.splitlines(keepends=True)[: 2 + 4])
+
+    def test_the_file_is_opened_without_truncation(self, traj, tmp_path, monkeypatch):
+        opened, real_open = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((path, flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        path = tmp_path / "spied.csv"
+        write_trajectory_csv(path, traj, "t")
+        assert [p for p, _ in opened] == [path]
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
 
 
 def _printf_rows(table: np.ndarray) -> str:
