@@ -26,6 +26,7 @@ from .model import (
     IntegratorConfig,
     Pom,
     Scenario,
+    _brief,
     _is_finite,
     plus_minus_ensemble,
     two_level_decay_model,
@@ -40,9 +41,9 @@ __all__ = [
 
 def _check_rates(gamma: float, elapsed: float, elapsed_name: str) -> None:
     if not (_is_finite(gamma) and gamma > 0.0):
-        raise ValueError(f"decay rate must be finite and positive, got {gamma!r}")
+        raise ValueError(f"decay rate must be finite and positive, got {_brief(gamma, repr)}")
     if not (_is_finite(elapsed) and elapsed >= 0.0):
-        raise ValueError(f"{elapsed_name} must be finite and >= 0, got {elapsed!r}")
+        raise ValueError(f"{elapsed_name} must be finite and >= 0, got {_brief(elapsed, repr)}")
 
 
 def analytic_retrodictive_state(gamma: float, tau: float) -> DensityOperator:

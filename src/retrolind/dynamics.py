@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import DensityOperator, IntegratorConfig, LindbladModel, _hermitian_positive_issues, _raise_if_issues
-from .model import _brief, _is_finite
+from .model import _brief, _is_finite, _work_issues
 from .operators import as_operator, dagger, trace
 from .tolerances import MAX_GENERATOR_BYTES, MAX_HELD_PLANS, POSITIVITY_DRIFT_TOL, RETRODICTIVE_RHS_TRACE_TOL, TRACE_DRIFT_TOL
 
@@ -60,7 +60,7 @@ _Advance = Callable[[np.ndarray, int], np.ndarray]  # x, m -> the state m RK4 st
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced an unusable state.  One raised by rk4_integrate names the first
+    """Numerical integration produced an unusable state.  One raised by a run (_integrate) names the first
     non-finite RK4 step of its segment as step and carries the run's finite records before it as trajectory."""
 
     def __init__(self, message: str, step: int | None = None, trajectory: Trajectory | None = None):
@@ -223,53 +223,55 @@ def _rk4_step(rhs: _Rhs, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stride(duration: float, config: IntegratorConfig) -> tuple[int, int]:
-    """The RK4 steps over duration, ceil(duration * steps_per_unit_time), and the records they add."""
+def _segment(segment, config: IntegratorConfig) -> tuple[float, int]:
+    """A segment of a run, checked, as a float, and its RK4 steps, ceil(segment * steps_per_unit_time)."""
+    if not (_is_finite(segment) and segment >= 0.0):
+        raise ValueError(f"duration must be a finite real number >= 0, got {_brief(segment, repr)}")
+    segment = float(segment)
     try:
-        n_steps = math.ceil(duration * config.steps_per_unit_time)
+        return segment, math.ceil(segment * config.steps_per_unit_time)
     except OverflowError:  # the product is inf, or steps_per_unit_time is an int too large for a float
         raise ValueError(
-            f"duration {duration!r} at {_brief(config.steps_per_unit_time)} steps_per_unit_time "
+            f"duration {segment!r} at {_brief(config.steps_per_unit_time)} steps_per_unit_time "
             "gives a step count that is not a finite float"
         ) from None
-    return n_steps, -(-n_steps // config.record_every)
 
 
 def rk4_integrate(
-    rhs: _Rhs, x0, duration: float | Sequence[float], config: IntegratorConfig = IntegratorConfig(),
-    _advance: Callable[[_Rhs, float], _Advance] | None = None,
+    rhs: _Rhs, x0, duration: float | Sequence[float], config: IntegratorConfig = IntegratorConfig()
 ) -> Trajectory:
-    """Classical fixed-step RK4 over duration, or over consecutive segments, each from the last one's
-    final state: ceil(segment * steps_per_unit_time) steps of h = segment / n, every record_every-th
-    state and the last recorded at start + k h, start the float sum of the earlier segments.  Every
-    segment is checked before the first step.  The run is stepped to its end, so rhs may meet a state
-    that is not finite, and its records tested for finiteness once; a run that fails is stepped again
-    with each record tested, and a record that is not finite is re-stepped from the last by advance(x, 1),
-    which raises IntegrationError, with the records before it, at its segment's first non-finite step,
-    or, where only the m-step product overflowed, gives the finite record.  numpy's overflow and
-    invalid-value warnings are silenced; that error reports them.
+    """Classical fixed-step RK4 over duration, or over consecutive segments, run by _integrate with every step
+    taken stage by stage on rhs: the reference that every other path is tested against."""
+    segments = [duration] if np.ndim(duration) == 0 else duration
+    return Trajectory(*_integrate(x0, segments, config, partial(_staged, rhs))[:2])
 
-    Each record is reached from the last by advance(x, m), m stage-by-stage steps of rhs, the reference
-    that every other path is tested against; _advance(rhs, h), if given, makes the advance instead, from
-    the rhs passed here (see _linear and _krylov).  The records are float64 while x0 and every advance
-    are real, else complex128."""
-    times, plan, start, every = [0.0], [], 0.0, config.record_every
+
+def _integrate(x0, segments, config: IntegratorConfig, make: Callable[[float], _Advance]):
+    """The one RK4 run: over consecutive segments, each from the last one's final state, n = ceil(segment *
+    steps_per_unit_time) steps of h = segment / n, every record_every-th state and the last recorded at start + k h
+    (start: the float sum of earlier segments), each from the last by advance(x, m), m steps, advance = make(h).  Each
+    segment is checked, and the run held to the work budget (model._work_issues) for x0's columns as operators, before
+    anything is planned.  It is stepped to its end and tested for finiteness once; a failed run is stepped again, a
+    record that is not finite re-stepped by advance(x, 1), which raises IntegrationError, with the records before it,
+    at the first non-finite step, or gives the record where only the m-step product overflowed.  Returns the times,
+    the records (float64 while x0 and the advances are real) and the record indices of the start and each segment's end."""
+    every, segments = config.record_every, [_segment(segment, config) for segment in segments]
+    ends = list(accumulate((-(-n // every) for _, n in segments), initial=0))
+    steps = sum(float(n) for _, n in segments)  # a float: a sum past the float range, which f"{:.3e}" cannot print, is inf
+    _raise_if_issues(_work_issues(steps, ends[-1] + 1, math.prod(np.shape(x0)[:1])))
+    times, plan, start = [0.0], [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for segment in [duration] if np.ndim(duration) == 0 else duration:
-            if not (_is_finite(segment) and segment >= 0.0):
-                raise ValueError(f"duration must be a finite real number >= 0, got {segment!r}")
-            segment = float(segment)
-            n = _stride(segment, config)[0]
+        for segment, n in segments:
             if n:
                 h, strides = segment / n, [(k, min(every, n - k)) for k in range(0, n, every)]
-                advance = (_advance or _staged)(rhs, h)
+                advance = make(h)
                 times += [start + (k + m) * h for k, m in strides]
                 plan += [(advance, k, m, n) for k, m in strides]
             start += segment
         states = np.empty((len(times), *np.shape(x0)), dtype=np.complex128 if np.iscomplexobj(x0) else np.float64)
         states[0], times = x0, np.array(times)
         run = _records(plan, states)
-        return Trajectory(times, run if np.isfinite(run).all() else _records(plan, states, times))
+        return times, run if np.isfinite(run).all() else _records(plan, states, times), ends
 
 
 def _records(plan, states: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
@@ -315,21 +317,25 @@ def _power_increment(inc: np.ndarray, m: int) -> np.ndarray:
 
 
 def _plan(model: LindbladModel, backward: bool, rhs: _Rhs, h: float, m: int, size: int) -> np.ndarray:
-    """The step plan S^m - I (see _linear) of rhs, the model's generator or, if backward, its
-    adjoint, on size coordinates, that the model holds, keyed on (backward, h, m); else built,
-    S - I as one RK4 step of rhs on the identity less the identity, S^m - I by _power_increment
-    of the held S - I, and held, read-only.  The least recently used plans are dropped until
-    the new one fits both MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model holds at most
-    one generator's worth; one larger than that is not held."""
+    """The step plan S^m - I (see _linear) of rhs, the model's generator or, if backward, its adjoint, on size
+    coordinates, that the model holds, keyed on (backward, h, m); else built, S - I as rk4_integrate's one step of
+    rhs on the identity (h <= 1, as every h of _integrate is) less the identity, NaN where S is not finite, S^m - I
+    by _power_increment of the held S - I, and held, read-only.  The least recently used plans are dropped until the
+    new one fits MAX_HELD_PLANS and MAX_GENERATOR_BYTES, so a model holds one generator's worth; a larger one is not held."""
     plans = vars(model).setdefault("_plans", {})
     key = (backward, h, m)
     inc = plans.pop(key, None)
     if inc is None:
         if m > 1:
             inc = _power_increment(_plan(model, backward, rhs, h, 1, size), m)
+        elif h > 1.0:
+            raise ValueError(f"step size {h!r} is over 1: S - I would take more than one step")
         else:
             eye = np.eye(size)
-            inc = _rk4_step(rhs, eye, h) - eye
+            try:
+                inc = rk4_integrate(rhs, eye, h, IntegratorConfig(1, 1)).final - eye
+            except IntegrationError:  # S is not finite, and any product with such a plan is not either
+                inc = np.full((size, size), np.nan)
         if inc.nbytes > MAX_GENERATOR_BYTES:
             return inc
         inc.setflags(write=False)
@@ -344,12 +350,9 @@ def _linear(model: LindbladModel, backward: bool, rhs: _Rhs, h: float) -> _Advan
     """The advance x -> S^m x for the RK4 step matrix S = sum_{k<=4} (hG)^k / k! of a linear
     rhs v -> G v, as x + (S^m - I) x: one product carries every column of x from one record to
     the next, and the step plan S^m - I that _plan holds, formed on the increments, keeps the
-    round-off of a record that of one step.  rk4_integrate makes one per segment, which keeps its stride's plan at hand.
-
-    S is built by _rk4_step on the rhs that rk4_integrate received, not by
-    Horner's rule on G, because the benchmark's tracer counts RK4 steps as
-    calls of that rhs; Horner's rule, and dropping rk4_integrate's private
-    keyword, wait until the benchmark counts steps from the integrator."""
+    round-off of a record that of one step.  _integrate makes one per segment, which keeps its stride's plan at hand.
+    S is built by rk4_integrate, not by Horner's rule on G, because the benchmark's tracer counts RK4 steps as
+    calls of the rhs that rk4_integrate receives; Horner's rule waits until the benchmark counts steps otherwise."""
     stride, jump = 0, None
 
     def advance(x: np.ndarray, m: int) -> np.ndarray:
@@ -361,11 +364,11 @@ def _linear(model: LindbladModel, backward: bool, rhs: _Rhs, h: float) -> _Advan
     return advance
 
 
-def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
+def _krylov(model: LindbladModel, h: float) -> _Advance:
     """The advance by m RK4 steps of the retrodictive right-hand side f(v) =
     L* v - Tr(L* v) v in real coordinates, with L* the adjoint of the model's
     generator, and k.v = -Tr(h L* v) for k the first d rows of h L* summed and
-    negated (see _model_generator); rhs is unused.
+    negated (see _model_generator).
 
     Each step is taken in the Krylov basis b_j = (h L*)^j v, j = 0..4,
     which spans every stage: each stage input is v plus a combination of
@@ -375,7 +378,7 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
     stage.  The step returns v + sum_j alpha_j b_j, the 1 of v left out of
     alpha_0, so its round-off is relative to the change, as in the
     stage-by-stage step.  It is the same RK4 step with a different round-off.
-    h L*, k and the basis are formed once per integration."""
+    h L*, k and the basis are formed once per segment."""
     hg = _model_generator(model, backward=True)
     hg *= h
     kh = -hg[: model.dim].sum(axis=0)
@@ -418,23 +421,19 @@ def _krylov(model: LindbladModel, rhs: _Rhs | None, h: float) -> _Advance:
 def _run(model: LindbladModel, mode: str, ops, segments, config: IntegratorConfig):
     """ops, one (d, d) operator or an (n, d, d) stack, in the real coordinates of ops symmetrized (_to_real),
     carried over consecutive segments by the "predictive", "pom-backward" or "retrodictive" equation in one
-    rk4_integrate call, on the model's step plans (_linear) or in a Krylov basis (_krylov).  Returns the run's
+    _integrate pass, on the model's step plans (_linear) or in a Krylov basis (_krylov).  Returns the run's
     times, its records (records, *ops.shape), complex and guarded in one _guard pass (a failed run's up to its
     last finite one, so the earliest failure raises), and the record indices of the start and each segment's end."""
     ops = np.asarray(ops, dtype=np.complex128)
     backward = mode == "pom-backward"
-    if mode == "retrodictive":
-        rhs, advance = None, partial(_krylov, model)
-    else:
-        rhs, advance = (lambda v: _model_generator(model, backward) @ v), partial(_linear, model, backward)
+    linear = partial(_linear, model, backward, lambda v: _model_generator(model, backward) @ v)
+    make = partial(_krylov, model) if mode == "retrodictive" else linear
     try:
-        run, failure = rk4_integrate(rhs, _to_real(ops).T, segments, config, _advance=advance), None
-    except IntegrationError as exc:
-        run, failure = exc.trajectory, exc
-    records = _guard(run.times, np.swapaxes(run.states, 1, -1), check_trace=not backward)
-    if failure:
-        raise failure
-    return run.times, records, list(accumulate((_stride(segment, config)[1] for segment in segments), initial=0))
+        times, run, ends = _integrate(_to_real(ops).T, segments, config, make)
+    except IntegrationError as exc:  # the finite records before it are guarded first: a failure there is earlier
+        _guard(exc.trajectory.times, np.swapaxes(exc.trajectory.states, 1, -1), check_trace=not backward)
+        raise
+    return times, _guard(times, np.swapaxes(run, 1, -1), check_trace=not backward), ends
 
 
 def _guard(times: np.ndarray, coords: np.ndarray, check_trace: bool) -> np.ndarray:

@@ -138,7 +138,7 @@ def preparation_operators(
 ) -> list[np.ndarray]:
     """Prior-weighted predictive states Lambda_i at time t_p + t_minus_tp."""
     if not (_is_real(t_minus_tp) and t_minus_tp >= 0.0):
-        raise ValueError(f"time offset t_minus_tp must be a real number >= 0, got {t_minus_tp!r}")
+        raise ValueError(f"time offset t_minus_tp must be a real number >= 0, got {_brief(t_minus_tp, repr)}")
     _check_model_operator(model, ensemble.states[0].op)  # the ensemble's states share one shape
     finals = _finals(model, [st.op for st in ensemble.states], t_minus_tp, config, backward=False)
     ops = [prior * final for prior, final in zip(ensemble.priors, finals)]
@@ -183,7 +183,7 @@ def _likelihoods(scenario: Scenario, prep_indices, collapse_time: float | None) 
         raise ValueError(f"collapse time {collapse_time!r} is not a real number")
     t = scenario.t_m if collapse_time is None else collapse_time
     if not scenario.t_p <= t <= scenario.t_m:
-        raise ValueError(f"collapse time {t} outside [{scenario.t_p}, {scenario.t_m}]")
+        raise ValueError(f"collapse time {_brief(t)} outside [{scenario.t_p}, {scenario.t_m}]")
     model, config = scenario.model, scenario.integrator
     states = _finals(model, [scenario.ensemble.states[i].op for i in prep_indices], t - scenario.t_p, config, backward=False)
     return _outcome_probs(states, _finals(model, scenario.pom.elements, scenario.t_m - t, config, backward=True))

@@ -127,16 +127,17 @@ def _is_finite(x) -> bool:
         return False
 
 
-def _brief(n: int) -> str:
-    """An integer as printed up to 20 digits, else as 1.235e+400, which f"{n:.3e}" cannot give past a float."""
+def _brief(x, show=str) -> str:
+    """show(x) of a number that a refusal prints, but an int of 20 digits or more as 1.235e+400, which neither
+    f"{x:.3e}" (past a float) nor str (past 4300 digits) can give."""
     from decimal import Decimal  # only on the refusal paths: not worth its import time
 
-    return str(n) if abs(n) < 10**20 else f"{Decimal(n):.3e}"
+    return f"{Decimal(x):.3e}" if isinstance(x, int) and abs(x) >= 10**20 else show(x)
 
 
 def _model_issues(dim: int, hamiltonian, jump_ops) -> list[ValidationIssue]:
     if not _is_int(dim) or dim < 1:
-        return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {dim!r}", math.nan)]
+        return [ValidationIssue("model.dim", f"dimension must be a positive integer, got {_brief(dim, repr)}", math.nan)]
     issues = _shape_issues("model.hamiltonian", hamiltonian, dim)
     if not issues:
         issues += _hermitian_issues("model.hamiltonian", hamiltonian)
@@ -193,7 +194,7 @@ def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
     issues = _label_issues("ensemble.labels", labels, n_states, "states")
     for i, p in enumerate(priors):
         if not (_is_finite(p) and p >= 0.0):
-            issues.append(ValidationIssue(f"ensemble.priors[{i}]", f"prior must be >= 0, got {p}", math.nan))
+            issues.append(ValidationIssue(f"ensemble.priors[{i}]", f"prior must be >= 0, got {_brief(p)}", math.nan))
             return issues
     total_dev = abs(math.fsum(priors) - 1.0)
     if total_dev > PRIOR_SUM_TOL:
@@ -204,7 +205,7 @@ def _prior_issues(priors, labels, n_states: int) -> list[ValidationIssue]:
 def _times_issues(t_p: float, t_m: float) -> list[ValidationIssue]:
     for name, t in (("t_p", t_p), ("t_m", t_m)):
         if not _is_finite(t):
-            return [ValidationIssue("scenario", f"{name} must be a finite real number, got {t!r}", math.nan)]
+            return [ValidationIssue("scenario", f"{name} must be a finite real number, got {_brief(t, repr)}", math.nan)]
     if t_m < t_p:
         return [ValidationIssue("scenario", "measurement time t_m precedes preparation time t_p", t_p - t_m)]
     return []
@@ -212,7 +213,7 @@ def _times_issues(t_p: float, t_m: float) -> list[ValidationIssue]:
 
 def _config_issues(steps_per_unit_time: int, record_every: int) -> list[ValidationIssue]:
     return [
-        ValidationIssue(f"integrator.{name}", f"must be a positive integer, got {value!r}", math.nan)
+        ValidationIssue(f"integrator.{name}", f"must be a positive integer, got {_brief(value, repr)}", math.nan)
         for name, value in (("steps_per_unit_time", steps_per_unit_time), ("record_every", record_every))
         if not _is_int(value) or value < 1
     ]
@@ -221,11 +222,9 @@ def _config_issues(steps_per_unit_time: int, record_every: int) -> list[Validati
 def _step_count_issues(
     t_p: float, t_m: float, steps_per_unit_time: int, record_every: int, dim: int
 ) -> list[ValidationIssue]:
-    """The work of one integration over the window must fit the budget: its
-    d^2 x d^2 generator must take at most MAX_GENERATOR_BYTES, its RK4 step
-    count ceil((t_m - t_p) * steps_per_unit_time) must be a finite float of
-    at most MAX_RK4_STEPS, and its recorded states at most
-    MAX_RECORDED_BYTES.  Callers pass arguments that are each valid."""
+    """The work of one integration over the window must fit the budget: its d^2 x d^2 generator must take at
+    most MAX_GENERATOR_BYTES, and its step count ceil((t_m - t_p) * steps_per_unit_time) must be a finite
+    float within _work_issues' budget.  Callers pass arguments that are each valid."""
     generator_bytes = dim**4 * 16
     if generator_bytes > MAX_GENERATOR_BYTES:
         return [
@@ -237,16 +236,16 @@ def _step_count_issues(
             )
         ]
     try:
-        steps = (t_m - t_p) * steps_per_unit_time
-    except OverflowError:  # a float times an int too large to convert to float
-        steps = math.inf
-    if not _is_finite(steps):
-        return [
-            ValidationIssue(
-                "integrator.steps_per_unit_time", "step count over the window is not a finite float", math.nan
-            )
-        ]
-    n_steps = math.ceil(steps)
+        n_steps = math.ceil((t_m - t_p) * steps_per_unit_time)
+    except OverflowError:  # the product is inf, or steps_per_unit_time is an int too large for a float
+        issue = "step count over the window is not a finite float"
+        return [ValidationIssue("integrator.steps_per_unit_time", issue, math.nan)]
+    return _work_issues(n_steps, 1 + -(-n_steps // record_every), dim * dim)
+
+
+def _work_issues(n_steps: float, records: int, size: int) -> list[ValidationIssue]:
+    """A run's work must fit the budget: at most MAX_RK4_STEPS RK4 steps, and records of one operator
+    of size complex entries, (records * size * 16) bytes, at most MAX_RECORDED_BYTES."""
     if n_steps > MAX_RK4_STEPS:
         return [
             ValidationIssue(
@@ -256,8 +255,7 @@ def _step_count_issues(
                 n_steps - MAX_RK4_STEPS,
             )
         ]
-    records = 1 + -(-n_steps // record_every)
-    recorded_bytes = records * dim * dim * 16
+    recorded_bytes = records * size * 16
     if recorded_bytes > MAX_RECORDED_BYTES:
         return [
             ValidationIssue(
@@ -455,7 +453,7 @@ def two_level_decay_model(gamma: float) -> LindbladModel:
     population obeys d(rho_ee)/dt = -gamma rho_ee.
     """
     if not (_is_finite(gamma) and gamma > 0.0):
-        raise ValueError(f"decay rate must be finite and positive, got {gamma!r}")
+        raise ValueError(f"decay rate must be finite and positive, got {_brief(gamma, repr)}")
     lower = np.zeros((2, 2), dtype=np.complex128)
     lower[1, 0] = math.sqrt(gamma / 2.0)
     return LindbladModel(2, np.zeros((2, 2), dtype=np.complex128), (lower,))

@@ -31,8 +31,8 @@ RETRODICTIVE_EIG_TOL = 1e-6  # eigenvalue negativity a normalized backward-evolv
 # Command line
 PIPELINE_TOL = 1e-6  # allowed disagreement between the two inference routes
 
-# Work budget, checked at validation (model)
-MAX_RK4_STEPS = 1e7  # RK4 steps of one integration over the window
+# Work budget, checked at validation (model) and before every run (dynamics._integrate)
+MAX_RK4_STEPS = 1e7  # RK4 steps of one integration over the window, or of one run
 MAX_RECORDED_BYTES = 2.0**30  # bytes of the recorded states of one integrated operator
 MAX_GENERATOR_BYTES = 2.0**28  # d^4 x 16 bytes, twice the real d^2 x d^2 generator: its build peak (validation); dim <= 64
 

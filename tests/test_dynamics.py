@@ -28,6 +28,7 @@ from retrolind import (
     two_level_decay_model,
 )
 from retrolind import dynamics, operators
+from retrolind import model as model_module
 from retrolind.atom import analytic_retrodictive_state
 from retrolind.operators import scale_of, symmetrize
 from retrolind.tolerances import HERMITICITY_TOL
@@ -40,9 +41,10 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-def _linear_advance():
-    """rk4_integrate's _advance for a linear rhs, on step plans held for one integration alone."""
-    return partial(dynamics._linear, SimpleNamespace(), False)
+def _linear_integrate(rhs, x0, duration: float, config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """rk4_integrate's run of a linear rhs by _integrate on its step plans (_linear), held for this run alone."""
+    make = partial(dynamics._linear, SimpleNamespace(), False, rhs)
+    return Trajectory(*dynamics._integrate(x0, [duration], config, make)[:2])
 
 
 class TestTrajectory:
@@ -235,9 +237,9 @@ class TestRk4Integrate:
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_a_real_start_under_a_complex_rhs_records_complex_states(self, linear):
-        advance = _linear_advance if linear else lambda: None
-        real = rk4_integrate(lambda v: 1j * v, np.array([1.0]), 3.0, _advance=advance())
-        complex_ = rk4_integrate(lambda v: 1j * v, np.array([1.0 + 0.0j]), 3.0, _advance=advance())
+        integrate = _linear_integrate if linear else rk4_integrate
+        real = integrate(lambda v: 1j * v, np.array([1.0]), 3.0)
+        complex_ = integrate(lambda v: 1j * v, np.array([1.0 + 0.0j]), 3.0)
         assert real.states.dtype == np.complex128
         assert real.states.tobytes() == complex_.states.tobytes()
 
@@ -277,7 +279,7 @@ class TestRk4Integrate:
     def test_an_int_too_large_for_a_float_is_no_finite_duration(self, duration):
         with pytest.raises(ValueError) as err:
             rk4_integrate(_refuse_to_step, np.array([1.0]), duration)
-        assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
+        assert str(err.value) == "duration must be a finite real number >= 0, got 1.000e+400"
 
     @pytest.mark.parametrize("duration", [1e306, [0.5, 1e306]], ids=["scalar", "segment"])
     def test_a_step_count_that_is_no_finite_float_is_refused_before_allocating(self, duration, monkeypatch):
@@ -293,6 +295,32 @@ class TestRk4Integrate:
             rk4_integrate(_refuse_to_step, np.array([1.0]), 0.5, IntegratorConfig(10**400, 1))
         message = "duration 0.5 at 1.000e+400 steps_per_unit_time gives a step count that is not a finite float"
         assert str(err.value) == message and len(message) < 200
+
+    def test_a_run_over_the_step_budget_is_refused_before_allocating(self, monkeypatch):
+        # 64 + 64 steps at 1024 per unit time: each segment within a budget of 100 steps, the run not.
+        monkeypatch.setattr(model_module, "MAX_RK4_STEPS", 100)
+        config = IntegratorConfig(1024, 8)
+        with monkeypatch.context() as refusing:
+            refusing.setattr(np, "empty", _refuse_to_allocate)
+            with pytest.raises(ValueError) as err:
+                rk4_integrate(_refuse_to_step, np.array([1.0]), [0.0625, 0.0625], config)
+        assert str(err.value) == (
+            "integrator.steps_per_unit_time: 1.280e+02 RK4 steps over the window exceed the budget of 1e+02; "
+            "lower steps_per_unit_time or shorten the window (deviation 2.800000e+01)"
+        )
+        assert len(rk4_integrate(lambda v: -v, np.array([1.0]), [0.0625, 0.03125], config)) == 13
+
+    def test_the_record_budget_holds_for_each_operator_of_a_block(self, monkeypatch):
+        # 8 steps, every 8th recorded: 2 records of 4 coordinates take 128 bytes, for each column alike.
+        config = IntegratorConfig(1024, 8)
+        monkeypatch.setattr(model_module, "MAX_RECORDED_BYTES", 127)
+        for x0 in (np.ones(4), np.ones((4, 3))):
+            with pytest.raises(ValueError) as err:
+                rk4_integrate(_refuse_to_step, x0, 0.0078125, config)
+            message = "integrator.record_every: 2 recorded states take 1.280e+02 bytes, over the budget of 127; raise record_every"
+            assert str(err.value) == message + " (deviation 1.000000e+00)"
+        monkeypatch.setattr(model_module, "MAX_RECORDED_BYTES", 128)
+        assert rk4_integrate(lambda v: -v, np.ones((4, 3)), 0.0078125, config).states.shape == (2, 4, 3)
 
     def test_every_segment_is_checked_before_the_first_step(self):
         with pytest.raises(ValueError, match=r"^duration must be a finite real number >= 0, got -1\.0$"):
@@ -726,17 +754,17 @@ class TestLinearStepMatrix:
             for gen in (predictive_generator(model), pom_backward_generator(model)):
                 x0 = _random_operator(rng, dim).reshape(-1)
                 staged = rk4_integrate(lambda v: gen @ v, x0, 0.7, config)
-                stepped = rk4_integrate(lambda v: gen @ v, x0, 0.7, config, _advance=_linear_advance())
+                stepped = _linear_integrate(lambda v: gen @ v, x0, 0.7, config)
                 np.testing.assert_array_equal(stepped.times, staged.times)
                 for a, b in zip(stepped.states, staged.states):
                     assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_overflow_reports_the_first_step(self, linear):
-        advance = _linear_advance() if linear else None
+        integrate = _linear_integrate if linear else rk4_integrate
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
-                rk4_integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0, _advance=advance)
+                integrate(lambda v: 1e170 * v, np.array([1.0 + 0.0j]), 1.0)
         assert err.value.step == 1
 
     @pytest.mark.parametrize("linear", [False, True])
@@ -744,7 +772,7 @@ class TestLinearStepMatrix:
         config = IntegratorConfig(1024, 10)  # h = 2^-10, so a run to any step count takes the same steps
 
         def run(t):
-            return rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), t, config, _advance=_linear_advance() if linear else None)
+            return (_linear_integrate if linear else rk4_integrate)(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), t, config)
 
         with pytest.raises(IntegrationError) as err:
             run(1.0)
@@ -757,13 +785,13 @@ class TestLinearStepMatrix:
 
     def test_overflow_step_is_the_first_non_finite_power(self):
         config = IntegratorConfig(1000, 10)
-        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, _advance=_linear_advance()).final
+        growth = _linear_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config).final
         expected, x = 0, np.array([1e300 + 0.0j])
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(x).all():
                 expected, x = expected + 1, growth * x
             with pytest.raises(IntegrationError) as err:
-                rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, _advance=_linear_advance())
+                _linear_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config)
         assert 1 < expected < 1000
         assert err.value.step == expected
 
@@ -786,7 +814,7 @@ class TestLinearStepMatrix:
                         if k % record_every == 0 or k == n_steps:
                             times.append(k * h)
                             expected.append(x)
-                    strided = rk4_integrate(lambda v: gen @ v, x0, duration, config, _advance=_linear_advance())
+                    strided = _linear_integrate(lambda v: gen @ v, x0, duration, config)
                     np.testing.assert_array_equal(strided.times, times)
                     for a, b in zip(strided.states, expected):
                         assert np.max(np.abs(a - b)) <= 1e-13 * scale_of(b)
@@ -803,7 +831,7 @@ class TestLinearStepMatrix:
             x0 = random_density(rng, dim).reshape(-1)
             step = dynamics._rk4_step(lambda v: gen @ v, np.eye(dim * dim, dtype=complex), 1e-3)
             wide, x = step.astype(np.clongdouble), x0.astype(np.clongdouble)
-            strided = rk4_integrate(lambda v: gen @ v, x0, 5.0, config, _advance=_linear_advance())
+            strided = _linear_integrate(lambda v: gen @ v, x0, 5.0, config)
             for state in strided.states[1:]:
                 for _ in range(50):
                     x = wide @ x
@@ -811,13 +839,13 @@ class TestLinearStepMatrix:
 
     def test_overflow_in_mid_interval_reports_the_exact_step(self):
         config = IntegratorConfig(1000, 50)
-        growth = rk4_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config, _advance=_linear_advance()).final
+        growth = _linear_integrate(lambda v: 50.0 * v, np.array([1.0 + 0.0j]), 1e-3, config).final
         expected, x = 0, np.array([1e300 + 0.0j])
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(x).all():
                 expected, x = expected + 1, growth * x
         with pytest.raises(IntegrationError) as err:
-            rk4_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config, _advance=_linear_advance())
+            _linear_integrate(lambda v: 50.0 * v, np.array([1e300 + 0.0j]), 1.0, config)
         assert expected % 50 != 0
         assert err.value.step == expected
 
@@ -830,7 +858,7 @@ class TestLinearStepMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(step).all()
             assert not np.isfinite(dynamics._power_increment(step - eye, 50) @ x0).all()
-        traj = rk4_integrate(lambda v: gen @ v, x0, 0.2, IntegratorConfig(1000, 50), _advance=_linear_advance())
+        traj = _linear_integrate(lambda v: gen @ v, x0, 0.2, IntegratorConfig(1000, 50))
         np.testing.assert_array_equal(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
         for state in traj.states:
             np.testing.assert_array_equal(state, x0)
@@ -841,9 +869,9 @@ class TestLinearStepMatrix:
         for dim in (2, 3, 4):
             gen = pom_backward_generator(random_model(rng, dim=dim))
             block = np.stack([random_density(rng, dim).reshape(-1) for _ in range(4)], axis=1)
-            batched = rk4_integrate(lambda v: gen @ v, block, 0.9, config, _advance=_linear_advance())
+            batched = _linear_integrate(lambda v: gen @ v, block, 0.9, config)
             for col in range(block.shape[1]):
-                single = rk4_integrate(lambda v: gen @ v, block[:, col], 0.9, config, _advance=_linear_advance())
+                single = _linear_integrate(lambda v: gen @ v, block[:, col], 0.9, config)
                 for a, b in zip(batched.states, single.states):
                     assert np.max(np.abs(a[:, col] - b)) <= 1e-14
 
@@ -895,7 +923,7 @@ def test_an_int_too_large_for_a_float_is_refused_before_integrating(mode, monkey
     monkeypatch.setattr(dynamics, "_model_generator", _refuse_to_build)
     with pytest.raises(ValueError) as err:
         _evolve_mode(mode, model, random_density(rng, 2), 10**400)
-    assert str(err.value) == f"duration must be a finite real number >= 0, got {10**400!r}"
+    assert str(err.value) == "duration must be a finite real number >= 0, got 1.000e+400"
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -906,6 +934,37 @@ def test_a_step_count_that_is_no_finite_float_is_refused_before_integrating(mode
     with pytest.raises(ValueError) as err:
         _evolve_mode(mode, model, random_density(rng, 2), 1e308)
     assert str(err.value) == "duration 1e+308 at 400 steps_per_unit_time gives a step count that is not a finite float"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "budget, value, over, within, message",
+    [
+        (
+            "MAX_RK4_STEPS", 100, 0.26, 0.25,
+            "integrator.steps_per_unit_time: 1.040e+02 RK4 steps over the window exceed the budget of 1e+02; "
+            "lower steps_per_unit_time or shorten the window (deviation 4.000000e+00)",
+        ),
+        (
+            "MAX_RECORDED_BYTES", 255, 0.25, 0.2,
+            "integrator.record_every: 4 recorded states take 2.560e+02 bytes, over the budget of 255; "
+            "raise record_every (deviation 1.000000e+00)",
+        ),
+    ],
+    ids=["steps", "recorded-bytes"],
+)
+def test_an_evolution_over_the_work_budget_is_refused_before_integrating(mode, budget, value, over, within, message, monkeypatch):
+    # At 400 steps per unit time, every 40th recorded: 0.26 takes 104 steps, and 0.25 records 4 dim-2
+    # operators of 64 bytes; 0.25 takes 100 steps, and 0.2 records 3.
+    rng = np.random.default_rng(47)
+    model, rho = random_model(rng, dim=2), random_density(rng, 2)
+    monkeypatch.setattr(model_module, budget, value)
+    with monkeypatch.context() as refusing:
+        refusing.setattr(dynamics, "_model_generator", _refuse_to_build)
+        with pytest.raises(ValueError) as err:
+            _evolve_mode(mode, model, rho, over)
+    assert str(err.value) == message
+    assert len(_evolve_mode(mode, model, rho, within)) > 1
 
 
 class TestZeroLengthEvolution:
@@ -1034,7 +1093,7 @@ def _staged_retrodictive(model, rho: np.ndarray, duration: float, config: Integr
 
 def _krylov_covector(model, h: float) -> np.ndarray:
     """The covector k, k.v = -Tr(h L* v), that _krylov's advance holds for its scalars."""
-    advance = dynamics._krylov(model, None, h)
+    advance = dynamics._krylov(model, h)
     return dict(zip(advance.__code__.co_freevars, (cell.cell_contents for cell in advance.__closure__)))["kh"]
 
 
@@ -1088,5 +1147,5 @@ class TestKrylovRetrodictiveStep:
         assert np.abs(kvec).max() > 0.0
         x0 = 1e170 * dynamics._to_real(random_density(rng, 3))
         with pytest.raises(IntegrationError, match="at step 1 of 1000$") as err:
-            rk4_integrate(None, x0, 1.0, _advance=partial(dynamics._krylov, model))
+            dynamics._integrate(x0, [1.0], IntegratorConfig(), partial(dynamics._krylov, model))
         assert err.value.step == 1

@@ -17,6 +17,7 @@ from retrolind import (
     collapse_time_sweep,
     evolve_pom_backward,
     evolve_predictive,
+    evolve_retrodictive,
     load_scenario,
     normalize_to_retrodictive,
     predict_outcome_probs,
@@ -504,42 +505,38 @@ class TestCollapseTimeChains:
         assert blocks == [("cholesky", (101, 2, 2)), ("cholesky", (101, 2, 2))]
 
     def test_a_sweep_integrates_once_per_direction(self, monkeypatch):
-        built, segments = [], []
-        integrate = dynamics.rk4_integrate
-
-        class CountingTrajectory(dynamics.Trajectory):
-            def __post_init__(self):
-                built.append(len(self.times))
-                super().__post_init__()
-
-        def counting_integrate(rhs, x0, duration, *args, **kwargs):
-            segments.append(len(duration))
-            return integrate(rhs, x0, duration, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "Trajectory", CountingTrajectory)
-        monkeypatch.setattr(dynamics, "rk4_integrate", counting_integrate)
-        collapse_time_sweep(demo_scenario(1.0, 1.0), "+", "-", 5)
+        scenario = demo_scenario(1.0, 1.0)
+        collapse_time_sweep(scenario, "+", "-", 5)  # builds the step plans, each in a record pass of its own
+        segments, passes = _counting_runs(monkeypatch)
+        collapse_time_sweep(scenario, "+", "-", 5)
         # Each direction: one run over the 4 segments of 250 steps, recorded every 10th step.
-        assert segments == [4, 4] and built == [101, 101]
+        assert segments == [4, 4] and passes == [101, 101]
 
-    def test_a_failed_run_costs_at_most_one_pass_more(self):
+    def test_a_failed_run_costs_at_most_one_pass_more(self, monkeypatch):
         calls = []
 
-        def counting(rhs, h):
-            advance = dynamics._staged(rhs, h)
-            return lambda x, m: calls.append(m) or advance(x, m)
+        def counting(rhs):
+            def make(h):
+                advance = dynamics._staged(rhs, h)
+                return lambda x, m: calls.append(m) or advance(x, m)
 
+            return make
+
+        _, passes = _counting_runs(monkeypatch)
         # 25 and 30 steps, recorded every 10th step and at the end: 3 + 3 records after the start.
         config, segments = IntegratorConfig(100, 10), [0.25, 0.0, 0.3]
-        run = dynamics.rk4_integrate(lambda v: -v, np.ones(1), segments, config, _advance=counting)
-        assert len(run) == 7 and len(calls) == 6  # one advance per record
+        _, records, _ = dynamics._integrate(np.ones(1), segments, config, counting(lambda v: -v))
+        assert len(records) == 7 and len(calls) == 6  # one advance per record
+        assert passes == [7]
         calls.clear()
+        passes.clear()
         # Growing by about 1.65 per step from 1e300, the sum of a step's stages overflows 28 steps in.
         with pytest.raises(IntegrationError, match="^non-finite state at step 3 of 30$") as err:
-            dynamics.rk4_integrate(lambda v: 50.0 * v, np.array([1e300]), segments, config, _advance=counting)
+            dynamics._integrate(np.array([1e300]), segments, config, counting(lambda v: 50.0 * v))
         k, finite = err.value.step, len(err.value.trajectory)
         # The full pass, then the replay: each record up to the failing one, and single steps from the last to k.
         assert len(calls) <= 6 + finite + k - (k - 1) // 10 * 10
+        assert passes == [7, 7]
 
     @pytest.mark.parametrize(
         "drift, failure",
@@ -566,6 +563,25 @@ class TestCollapseTimeChains:
         monkeypatch.setattr(dynamics, "_lindblad", _flat_rhs(drift))
         with pytest.raises(IntegrationError, match=r" at time 0\.1; step size too coarse$"):
             collapse_time_sweep(_closed_qubit(0.0, 10.0), "e", "+", 5)
+
+
+def _counting_runs(monkeypatch) -> tuple[list, list]:
+    """Lists that dynamics._integrate, from here on, appends the segment count of each run to, and
+    dynamics._records the length of the states of each record pass, one or, after a failure, two a run."""
+    segments, passes = [], []
+    integrate, records = dynamics._integrate, dynamics._records
+
+    def counting_integrate(x0, run_segments, *args):
+        segments.append(len(run_segments))
+        return integrate(x0, run_segments, *args)
+
+    def counting_records(plan, states, *args):
+        passes.append(len(states))
+        return records(plan, states, *args)
+
+    monkeypatch.setattr(dynamics, "_integrate", counting_integrate)
+    monkeypatch.setattr(dynamics, "_records", counting_records)
+    return segments, passes
 
 
 def _queries_and_sweep(scenario):
@@ -633,33 +649,62 @@ class TestHeldStepPlans:
     def test_the_least_recently_used_plan_is_dropped_first(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_HELD_PLANS", 3)
         model = self._scenario().model
-        for h in (1.0, 2.0, 3.0, 1.0, 4.0):
+        for h in (0.1, 0.2, 0.3, 0.1, 0.4):
             dynamics._plan(model, False, np.zeros_like, h, 1, 9)
-        assert [h for _, h, _ in vars(model)["_plans"]] == [3.0, 1.0, 4.0]
+        assert [h for _, h, _ in vars(model)["_plans"]] == [0.3, 0.1, 0.4]
 
     def test_the_least_recently_used_plans_are_dropped_until_a_new_one_fits_the_bytes(self, monkeypatch):
         # dim 3: each plan is one 9 x 9 real matrix of 648 bytes.
         monkeypatch.setattr(dynamics, "MAX_GENERATOR_BYTES", 2.5 * 9 * 9 * 8)
         model = self._scenario().model
-        for h in (1.0, 2.0, 3.0):
+        for h in (0.1, 0.2, 0.3):
             dynamics._plan(model, False, np.zeros_like, h, 1, 9)
-        assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
+        assert [h for _, h, _ in vars(model)["_plans"]] == [0.2, 0.3]
         # A plan larger than the whole budget is not held and drops none.
-        big = dynamics._plan(model, False, np.zeros_like, 4.0, 1, 18)
+        big = dynamics._plan(model, False, np.zeros_like, 0.4, 1, 18)
         assert big.shape == (18, 18) and big.flags.writeable
-        assert [h for _, h, _ in vars(model)["_plans"]] == [2.0, 3.0]
+        assert [h for _, h, _ in vars(model)["_plans"]] == [0.2, 0.3]
 
-    def test_a_query_builds_one_trajectory_per_run(self, monkeypatch):
-        built = []
+    def test_a_step_of_more_than_unit_length_is_refused_a_plan(self):
+        model = self._scenario().model
+        assert not dynamics._plan(model, False, np.zeros_like, 1.0, 1, 9).any()
+        with pytest.raises(ValueError, match=r"^step size 1\.5 is over 1: S - I would take more than one step$"):
+            dynamics._plan(model, False, np.zeros_like, 1.5, 1, 9)
+        with pytest.raises(ValueError, match=r"^step size 1\.5 is over 1"):
+            dynamics._plan(model, False, np.zeros_like, 1.5, 4, 9)
+        assert list(vars(model)["_plans"]) == [(False, 1.0, 1)]
 
-        class CountingTrajectory(dynamics.Trajectory):
-            def __post_init__(self):
-                built.append(len(self.times))
-                super().__post_init__()
+    def test_a_query_makes_one_record_pass_per_run(self, monkeypatch):
+        scenario = self._scenario()
+        bayes_from_predictive(scenario, 0)  # builds the step plans, each in a record pass of its own
+        segments, passes = _counting_runs(monkeypatch)
+        bayes_from_predictive(scenario, 0)
+        # The preparations forward over 300 steps, every 10th recorded; the outcome operators' run has length 0.
+        assert segments == [1] and passes == [31]
 
-        monkeypatch.setattr(dynamics, "Trajectory", CountingTrajectory)
-        bayes_from_predictive(self._scenario(), 0)
-        assert len(built) == 1  # the preparations forward; the outcome operators' run has length 0
+    def test_the_reference_integrator_is_reached_once_per_step_plan_build(self, monkeypatch):
+        # The benchmark's tracer counts RK4 steps as the rhs calls of dynamics.rk4_integrate over 4, so
+        # a run reaches it once per S - I it builds, with 4 rhs calls, and on held plans never.
+        reached = []
+        integrate = dynamics.rk4_integrate
+
+        def counting(rhs, x0, duration, config):
+            calls = []
+            run = integrate(lambda v: calls.append(1) or rhs(v), x0, duration, config)
+            reached.append(len(calls))
+            return run
+
+        monkeypatch.setattr(dynamics, "rk4_integrate", counting)
+        scenario = self._scenario()
+        first = _queries_and_sweep(scenario)
+        builds = [key for key in vars(scenario.model)["_plans"] if key[2] == 1]
+        assert len(builds) >= 2 and reached == [4] * len(builds)
+        reached.clear()
+        assert _queries_and_sweep(scenario) == first and reached == []
+        fresh = _fresh(scenario)
+        initial = normalize_to_retrodictive(fresh.pom.elements[0])
+        evolve_retrodictive(fresh.model, initial, fresh.duration, fresh.integrator)
+        assert reached == [] and "_plans" not in vars(fresh.model)
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_a_zero_length_run_is_the_guarded_one_without_an_integration(self, backward, monkeypatch):

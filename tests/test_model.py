@@ -58,7 +58,7 @@ class TestTwoLevelDecayModel:
     def test_rejects_an_int_rate_too_large_for_a_float(self):
         with pytest.raises(ValueError) as err:
             two_level_decay_model(10**400)
-        assert str(err.value) == f"decay rate must be finite and positive, got {10**400!r}"
+        assert str(err.value) == "decay rate must be finite and positive, got 1.000e+400"
 
 
 class TestPlusMinusEnsemble:
@@ -193,11 +193,13 @@ class TestPreparationEnsemble:
                 (-0.5, 1.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b")
             )
 
-    @pytest.mark.parametrize("prior", [10**400, True, "0.5"], ids=["int-too-large-for-a-float", "bool", "str"])
-    def test_a_prior_that_is_no_finite_number_is_refused(self, prior):
+    @pytest.mark.parametrize(
+        "prior, shown", [(10**400, "1.000e+400"), (True, "True"), ("0.5", "0.5")], ids=["int-too-large-for-a-float", "bool", "str"]
+    )
+    def test_a_prior_that_is_no_finite_number_is_refused(self, prior, shown):
         with pytest.raises(ValueError) as err:
             PreparationEnsemble((prior, 0.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b"))
-        assert str(err.value) == f"ensemble.priors[0]: prior must be >= 0, got {prior} (deviation nan)"
+        assert str(err.value) == f"ensemble.priors[0]: prior must be >= 0, got {shown} (deviation nan)"
 
 
 class TestScenario:
@@ -221,7 +223,7 @@ class TestScenario:
             (0.0, "1.0", "t_m must be a finite real number, got '1.0'"),
             (np.True_, 1.0, "t_p must be a finite real number, got np.True_"),
             (0.0, math.inf, "t_m must be a finite real number, got inf"),
-            pytest.param(0, 10**400, f"t_m must be a finite real number, got {10**400!r}", id="int-too-large-for-a-float"),
+            pytest.param(0, 10**400, "t_m must be a finite real number, got 1.000e+400", id="int-too-large-for-a-float"),
         ],
     )
     def test_a_time_that_is_no_finite_real_number_is_refused(self, t_p, t_m, message):
@@ -315,6 +317,33 @@ def test_a_malformed_piece_is_refused_by_its_constructor(build, message):
     assert type(err.value) is ValueError and str(err.value) == message
 
 
+def _demo_ending_at(t_m) -> Scenario:
+    demo = demo_scenario(1.0, 1.0)
+    return Scenario(demo.model, demo.ensemble, demo.pom, 0.0, t_m)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda n: IntegratorConfig(n, 10), "integrator.steps_per_unit_time: must be a positive integer, got {} (deviation nan)"),
+        (lambda n: LindbladModel(n, np.zeros((1, 1))), "model.dim: dimension must be a positive integer, got {} (deviation nan)"),
+        (
+            lambda n: PreparationEnsemble((n, 0.5), (DensityOperator(PLUS), DensityOperator(MINUS)), ("a", "b")),
+            "ensemble.priors[0]: prior must be >= 0, got {} (deviation nan)",
+        ),
+        (_demo_ending_at, "scenario: t_m must be a finite real number, got {} (deviation nan)"),
+        (two_level_decay_model, "decay rate must be finite and positive, got {}"),
+    ],
+    ids=["steps", "dim", "prior", "t_m", "rate"],
+)
+@pytest.mark.parametrize("n, shown", [(-(10**400), "-1.000e+400"), (-(10**5000), "-1.000e+5000")], ids=["400-digits", "past-str-limit"])
+def test_a_huge_integer_is_refused_in_a_short_message(build, message, n, shown):
+    # -10**5000 is past the 4300 digits that str() prints of an int.
+    with pytest.raises(ValueError) as err:
+        build(n)
+    assert str(err.value) == message.format(shown) and len(str(err.value)) < 200
+
+
 class TestIntegratorConfig:
     def test_defaults(self):
         config = IntegratorConfig()
@@ -354,8 +383,10 @@ class TestValidateScenario:
         assert issue.field == "ensemble.priors"
         assert issue.deviation == pytest.approx(0.2)
 
-    @pytest.mark.parametrize("prior", [10**400, True, "0.5"], ids=["int-too-large-for-a-float", "bool", "str"])
-    def test_raw_data_report_names_a_prior_that_is_no_finite_number(self, prior):
+    @pytest.mark.parametrize(
+        "prior, shown", [(10**400, "1.000e+400"), (True, "True"), ("0.5", "0.5")], ids=["int-too-large-for-a-float", "bool", "str"]
+    )
+    def test_raw_data_report_names_a_prior_that_is_no_finite_number(self, prior, shown):
         demo = demo_scenario(1.0, 1.0)
         report = validate_scenario_data(
             2,
@@ -371,7 +402,7 @@ class TestValidateScenario:
         )
         (issue,) = report.issues
         assert issue.field == "ensemble.priors[0]"
-        assert issue.message == f"prior must be >= 0, got {prior}"
+        assert issue.message == f"prior must be >= 0, got {shown}"
 
     def test_raw_data_report_flags_incomplete_pom(self):
         demo = demo_scenario(1.0, 1.0)

@@ -107,6 +107,17 @@ def _per_step(rhs, x: np.ndarray, case: Case) -> Trajectory:
     return Trajectory(np.array(times), states)
 
 
+def _integrated(make, x0, duration, config: IntegratorConfig) -> Trajectory:
+    """rk4_integrate's run over duration or its segments by dynamics._integrate, each segment's advance make(h)."""
+    segments = [duration] if np.ndim(duration) == 0 else duration
+    return Trajectory(*dynamics._integrate(x0, segments, config, make)[:2])
+
+
+def _linear(gen: np.ndarray):
+    """The advances of dynamics._linear for the rhs v -> gen v, on step plans held for one run alone."""
+    return partial(dynamics._linear, SimpleNamespace(), False, lambda v: gen @ v)
+
+
 def _assert_records_match(run, reference) -> None:
     """Equal times, and every record within 1e-13 of the reference's scale."""
     np.testing.assert_array_equal(run.times, reference.times)
@@ -127,8 +138,7 @@ def test_linear_plans_match_the_staged_reference(case):
     ):
         staged = rk4_integrate(lambda v: gen @ v, block, case.duration, case.config)
         _assert_records_match(staged, _per_step(lambda v: gen @ v, block, case))
-        linear = partial(dynamics._linear, SimpleNamespace(), False)  # on step plans held for this run alone
-        _assert_records_match(rk4_integrate(lambda v: gen @ v, block, case.duration, case.config, _advance=linear), staged)
+        _assert_records_match(_integrated(_linear(gen), block, case.duration, case.config), staged)
         # One column at a time on the plans the model holds after the first.
         for col, op in enumerate(columns):
             held = evolve(op, case.duration)
@@ -263,10 +273,7 @@ def test_an_overflow_names_the_first_non_finite_step(case, exponent):
     config = case.config
     _overflow_step(lambda t: rk4_integrate(lambda v: gen @ v, block, t, config), case.n_steps, spu)
 
-    def linear(t):  # on step plans held for one integration alone
-        return rk4_integrate(lambda v: gen @ v, block, t, config, _advance=partial(dynamics._linear, SimpleNamespace(), False))
-
-    _overflow_step(linear, case.n_steps, spu)
+    _overflow_step(lambda t: _integrated(_linear(gen), block, t, config), case.n_steps, spu)
     for run in (
         lambda t: evolve_pom_backward(model, scale * rho, t, config),
         lambda t: evolve_retrodictive(model, DensityOperator(rho), t, config),
@@ -329,8 +336,8 @@ def test_a_run_over_segments_is_the_chain_of_its_segments(chain):
     paths = {
         "staged": (lambda x, t: rk4_integrate(lambda v: gen @ v, x, t, config), block),
         # Step plans held for one call alone, so the chain and the run share none.
-        "plans": (lambda x, t: rk4_integrate(lambda v: gen @ v, x, t, config, _advance=partial(dynamics._linear, SimpleNamespace(), False)), block),
-        "krylov": (lambda x, t: rk4_integrate(None, x, t, config, _advance=partial(dynamics._krylov, model)), rho),
+        "plans": (lambda x, t: _integrated(_linear(gen), x, t, config), block),
+        "krylov": (lambda x, t: _integrated(partial(dynamics._krylov, model), x, t, config), rho),
     }
     for name, (integrate, x0) in paths.items():
         times, states, failure = _chained(integrate, x0, segments)
